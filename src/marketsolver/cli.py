@@ -55,14 +55,32 @@ def _load_series(path: str, asset: Optional[str]) -> series.PriceSeries:
     # strategy profits never read price levels; when the data is not
     # compoundable (returns <= -1, e.g. unit moves), synthesize additive
     # levels instead of failing
-    vals = [r for (a, _), r in panel.returns.items() if a == asset]
-    mode = "compound" if all(v > -1.0 for v in vals) else "shifted"
-    return panel.series_for(asset, synthesis=mode)
+    return panel.series_for(asset, synthesis="auto")
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
+    # NaN and Infinity are not JSON; refuse them before writing anything
+    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False))
     sys.stdout.write("\n")
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 # ---------------------------------------------------------------- strategy
@@ -79,9 +97,8 @@ def _cmd_strategy(args) -> int:
         _emit({"strategy": json.loads(strat.to_json()), "profit": profit})
     else:  # decide
         critical = strategy_search.CriticalValue(K=args.target)
-        decision = strategy_search.decide_q3(srs, t, critical)
         _, profit = strategy_search.optimal_strategy(srs, t)
-        _emit({"decision": decision, "profit": profit, "target": args.target})
+        _emit({"decision": critical.beaten_by(profit), "profit": profit, "target": args.target})
     return 0
 
 
@@ -324,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_strategy = sub.add_parser("strategy", help="search strategies on one series")
     p_strategy.add_argument("action", choices=["optimal", "brute", "decide"])
     p_strategy.add_argument("file", help="panel CSV path, or - for stdin")
-    p_strategy.add_argument("--lookback", type=int, required=True)
+    p_strategy.add_argument("--lookback", type=_positive_int, required=True)
     p_strategy.add_argument("--asset", default=None)
     p_strategy.add_argument("--target", type=float, default=0.0)
     p_strategy.set_defaults(func=_cmd_strategy)
@@ -342,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sat = sub.add_parser("sat", help="CNF to order flow; solve and verify")
     p_sat.add_argument("action", choices=["encode", "solve", "verify"])
     p_sat.add_argument("file", help="DIMACS cnf path, or - for stdin")
-    p_sat.add_argument("--budget", type=int, default=sat_market.DEFAULT_SEARCH_BUDGET)
+    p_sat.add_argument("--budget", type=_positive_int, default=sat_market.DEFAULT_SEARCH_BUDGET)
     p_sat.add_argument("--witness", help="witness JSON path (verify)")
     p_sat.set_defaults(func=_cmd_sat)
 
@@ -350,15 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("action", choices=["backtest", "partition", "gen"])
     p_mom.add_argument("file", nargs="?", default="-",
                        help="panel CSV path, or - for stdin (unused by gen)")
-    p_mom.add_argument("--formation", type=int, default=6)
-    p_mom.add_argument("--holding", type=int, default=6)
-    p_mom.add_argument("--deciles", type=int, default=10)
-    p_mom.add_argument("--skip", type=int, default=0)
+    p_mom.add_argument("--formation", type=_positive_int, default=6)
+    p_mom.add_argument("--holding", type=_positive_int, default=6)
+    p_mom.add_argument("--deciles", type=_positive_int, default=10)
+    p_mom.add_argument("--skip", type=_non_negative_int, default=0)
     p_mom.add_argument("--breakpoints", default="",
                        help="comma-separated period-end months (partition)")
     p_mom.add_argument("--format", choices=["json", "csv"], default="json")
-    p_mom.add_argument("--assets", type=int, default=100)
-    p_mom.add_argument("--months", type=int, default=240)
+    p_mom.add_argument("--assets", type=_positive_int, default=100)
+    p_mom.add_argument("--months", type=_positive_int, default=240)
     p_mom.add_argument("--persistence", type=float, default=0.0)
     p_mom.add_argument("--seed", type=int, default=0)
     p_mom.set_defaults(func=_cmd_momentum)
@@ -367,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("action", choices=["strategies", "verify-scaling"])
     p_bench.add_argument("--t", default="2,3",
                          help="comma-separated lookbacks (strategies)")
-    p_bench.add_argument("--n", type=int, default=10_000)
+    p_bench.add_argument("--n", type=_positive_int, default=10_000)
     p_bench.add_argument("--seed", type=int, default=BENCH_SEED)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -13,6 +13,7 @@ tick; prices and returns must quantize exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, QuantizationError
-from .series import PriceSeries
-from .strategy_search import LONG, OUT, TechnicalStrategy, _context_stream
+from .series import PriceSeries, context_codes
+from .strategy_search import LONG, OUT, TechnicalStrategy
 
 MAX_BRUTE_ITEMS = 25
 MAX_DP_CELLS = 50_000_000
@@ -90,8 +91,8 @@ class MultiAssetScenario:
             raise ValueError("lookback must be a positive integer")
         if self.budget < 1 or self.target < 1:
             raise ValueError("budget and target must be positive integers")
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
+        if not 0 < self.tick < math.inf:
+            raise ValueError("tick must be positive and finite")
         if not self.assets:
             raise ValueError("scenario needs at least one asset")
         lengths = {len(a) for a in self.assets}
@@ -102,18 +103,37 @@ class MultiAssetScenario:
             raise ValueError(
                 f"series length {n} too short for lookback {self.lookback} plus one holding period"
             )
-        for i, a in enumerate(self.assets):
-            for x in list(a.prices) + list(a.returns):
-                to_ticks(x, self.tick)  # raises QuantizationError on misfit
+        for a in self.assets:
+            # raises QuantizationError on the first misfit
+            ticks_array(np.concatenate([a.prices, a.returns]), self.tick)
+
+
+def ticks_array(values, tick: float) -> np.ndarray:
+    """Convert prices or returns to int64 tick counts, exactly.
+
+    Each value must lie within 1e-9 (relative) of a whole number of ticks;
+    halves round to even. Non-finite values and counts beyond the int64
+    range raise QuantizationError, naming the first offending value.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        q = x / tick
+        r = np.rint(q)
+        bad = ~(np.abs(r) < 2.0**63) | (np.abs(q - r) > 1e-9 * np.maximum(1.0, np.abs(q)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        v = float(x.flat[i])
+        if not math.isfinite(v):
+            raise QuantizationError(f"{v} is not a finite price or return")
+        if not abs(r.flat[i]) < 2.0**63:
+            raise QuantizationError(f"{v} at tick {tick} is beyond the int64 tick range")
+        raise QuantizationError(f"{v} is not a multiple of tick {tick}")
+    return r.astype(np.int64)
 
 
 def to_ticks(x: float, tick: float) -> int:
-    """Convert a price or return to an integer tick count, exactly."""
-    q = x / tick
-    r = round(q)
-    if abs(q - r) > 1e-9 * max(1.0, abs(q)):
-        raise QuantizationError(f"{x} is not a multiple of tick {tick}")
-    return int(r)
+    """Convert one price or return to an integer tick count, exactly."""
+    return int(ticks_array(x, tick))
 
 
 def solve_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
@@ -177,26 +197,41 @@ def decide_knapsack(inst: KnapsackInstance) -> bool:
     return solve_dp(inst).total_value >= inst.target
 
 
+def _occurrence_ticks(sc: MultiAssetScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every context occurrence over all assets: (codes, sizes, values).
+
+    An occurrence is a context window followed by at least one more period;
+    its size is the price level at the window's end, its value the next
+    period's return, both in ticks. Raises QuantizationError if a total
+    of either could leave the int64 range, so every sum of them is exact.
+    """
+    t = sc.lookback
+    codes, sizes, values = [], [], []
+    for series in sc.assets:
+        codes.append(context_codes(series.returns, t)[:-1])
+        sizes.append(ticks_array(series.prices[t - 1 : -1], sc.tick))
+        values.append(ticks_array(series.returns[t:], sc.tick))
+    codes, sizes, values = (np.concatenate(x) for x in (codes, sizes, values))
+    for ticks in (sizes, values):
+        if np.abs(ticks.astype(np.float64)).sum() >= 2.0**62:
+            raise QuantizationError("tick totals exceed the exact int64 range")
+    return codes, sizes, values
+
+
 def _aggregate_contexts(sc: MultiAssetScenario) -> dict[int, tuple[int, int]]:
     """Per-context (size, value) tick totals over all occurrences, all assets.
 
-    An occurrence is a context window followed by at least one more period;
-    its size contribution is the price level at the window's end, its value
-    contribution the next period's return. Contexts are shared across
-    assets because one strategy must treat the same pattern identically
-    everywhere.
+    Keys are the context codes that occur, ascending. Contexts are shared
+    across assets because one strategy must treat the same pattern
+    identically everywhere.
     """
-    t = sc.lookback
-    agg: dict[int, tuple[int, int]] = {}
-    for series in sc.assets:
-        stream = _context_stream(series, t)
-        for k, (code, nxt) in enumerate(stream):
-            end_idx = t - 1 + k
-            size = to_ticks(series.prices[end_idx], sc.tick)
-            value = to_ticks(nxt, sc.tick)
-            s0, v0 = agg.get(code, (0, 0))
-            agg[code] = (s0 + size, v0 + value)
-    return agg
+    codes, sizes, values = _occurrence_ticks(sc)
+    present, item = np.unique(codes, return_inverse=True)
+    size = np.zeros(len(present), dtype=np.int64)
+    value = np.zeros(len(present), dtype=np.int64)
+    np.add.at(size, item, sizes)
+    np.add.at(value, item, values)
+    return dict(zip(present.tolist(), zip(size.tolist(), value.tolist())))
 
 
 def scenario_to_knapsack(
@@ -295,15 +330,9 @@ def realized_profit_and_cost(
     """
     if strategy.lookback != sc.lookback:
         raise ValueError("strategy lookback does not match scenario lookback")
-    t = sc.lookback
-    profit = 0
-    cost = 0
-    for series in sc.assets:
-        for k, (code, nxt) in enumerate(_context_stream(series, t)):
-            if strategy.table[code] == LONG:
-                profit += to_ticks(nxt, sc.tick)
-                cost += to_ticks(series.prices[t - 1 + k], sc.tick)
-    return profit, cost
+    codes, sizes, values = _occurrence_ticks(sc)
+    held = np.asarray(strategy.table)[codes] == LONG
+    return int(values[held].sum()), int(sizes[held].sum())
 
 
 def write_scenario_csv(sc: MultiAssetScenario) -> tuple[str, dict]:
@@ -313,10 +342,10 @@ def write_scenario_csv(sc: MultiAssetScenario) -> tuple[str, dict]:
     lines = ["date,asset,return,price"]
     for a_idx, series in enumerate(sc.assets):
         name = f"A{a_idx:04d}"
-        for i in range(n):
-            lines.append(
-                f"{months[i]},{name},{series.returns[i]!r},{series.prices[i]!r}"
-            )
+        lines.extend(
+            f"{month},{name},{r!r},{p!r}"
+            for month, r, p in zip(months, series.returns.tolist(), series.prices.tolist())
+        )
     sidecar = {
         "lookback": sc.lookback,
         "budget": sc.budget,
@@ -333,17 +362,18 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
     panel = load_panel_csv(csv_text)
     assets = []
     for name in panel.assets:
-        rets = []
-        prices = []
-        for m in panel.months:
-            key = (name, m)
-            if key not in panel.returns:
+        keys = list(zip(itertools.repeat(name), panel.months))
+        rets = list(map(panel.returns.get, keys))
+        prices = list(map(panel.prices.get, keys))
+        if None in prices:
+            # a row without a return carries no price either, so the first
+            # missing price is the first incomplete month
+            gap = prices.index(None)
+            m = panel.months[gap]
+            if rets[gap] is None:
                 raise ValueError(f"scenario asset {name!r} has a hole at {m!r}")
-            if key not in panel.prices:
-                raise ValueError(f"scenario asset {name!r} is missing a price at {m!r}")
-            rets.append(panel.returns[key])
-            prices.append(panel.prices[key])
-        assets.append(PriceSeries(returns=tuple(rets), prices=tuple(prices)))
+            raise ValueError(f"scenario asset {name!r} is missing a price at {m!r}")
+        assets.append(PriceSeries(returns=rets, prices=prices))
     return MultiAssetScenario(
         assets=assets,
         lookback=int(sidecar["lookback"]),

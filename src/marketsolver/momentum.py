@@ -66,7 +66,8 @@ class BacktestResult:
                 {"month": m, "return": r} for m, r in self.monthly_returns
             ],
             "cumulative": self.cumulative,
-            "t_stat": self.t_stat,
+            # undefined (NaN) when the monthly series is constant or empty
+            "t_stat": None if math.isnan(self.t_stat) else self.t_stat,
             "months_used": self.months_used,
             "months_skipped": self.months_skipped,
         }

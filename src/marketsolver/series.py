@@ -12,38 +12,68 @@ flat case, so the sign function must be total; zero maps to bit 0.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Union
 
-from .errors import DuplicateRowError, InvalidWindowError, PanelParseError
+import numpy as np
+
+from .errors import CapacityError, DuplicateRowError, InvalidWindowError, PanelParseError
 
 DEFAULT_START_PRICE = 100.0
+# Context codes live in int64 arrays, so a window holds at most 63 bits.
+MAX_CONTEXT_BITS = 63
+# Lines the bulk CSV parser splits at a time.
+PARSE_CHUNK_LINES = 4096
 
 
-@dataclass(frozen=True)
+def _float_vector(values: Iterable[float]) -> np.ndarray:
+    """A private, read-only, one-dimensional float64 copy of `values`."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a one-dimensional sequence, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Per-period returns plus the price level after each period.
 
     Returns drive direction bits and strategy profits; prices are the
-    capital outlay used by budget-constrained selection. The two vectors
-    have equal length and prices must stay strictly positive. No
-    arithmetic relation between them is enforced.
+    capital outlay used by budget-constrained selection. Both are stored
+    as read-only float64 arrays of equal length, and prices must stay
+    strictly positive. No arithmetic relation between them is enforced.
+    Two series are equal when their returns and prices are.
     """
 
-    returns: tuple[float, ...]
-    prices: tuple[float, ...]
+    returns: np.ndarray
+    prices: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "returns", _float_vector(self.returns))
+        object.__setattr__(self, "prices", _float_vector(self.prices))
         if len(self.prices) != len(self.returns):
             raise ValueError(
                 f"prices length {len(self.prices)} != returns length {len(self.returns)}"
             )
-        if any(p <= 0 for p in self.prices):
+        if np.any(self.prices <= 0):
             raise ValueError("price levels must be strictly positive")
 
     def __len__(self) -> int:
         return len(self.returns)
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceSeries):
+            return NotImplemented
+        return np.array_equal(self.returns, other.returns) and np.array_equal(
+            self.prices, other.prices
+        )
 
     @classmethod
     def from_returns(
@@ -51,21 +81,20 @@ class PriceSeries:
     ) -> "PriceSeries":
         """Build a series with price levels compounded from `start`.
 
-        Levels are cumulative products start * prod(1 + r). Used when an
-        input carries returns only (e.g. a CSV without a price column);
-        returns must exceed -1 so levels stay positive.
+        Levels are cumulative products start * prod(1 + r), multiplied in
+        period order. Used when an input carries returns only (e.g. a CSV
+        without a price column); returns must exceed -1 so levels stay
+        positive.
         """
-        rets = tuple(float(r) for r in returns)
-        prices = []
-        level = float(start)
-        for r in rets:
-            level *= 1.0 + r
-            if level <= 0:
-                raise ValueError(
-                    "cannot compound price levels: a return <= -1 wipes the level out"
-                )
-            prices.append(level)
-        return cls(returns=rets, prices=tuple(prices))
+        rets = _float_vector(returns)
+        factors = np.concatenate(([float(start)], 1.0 + rets))
+        with np.errstate(over="ignore"):  # overflow gives inf, as float math does
+            levels = np.cumprod(factors)[1:]
+        if np.any(levels <= 0):
+            raise ValueError(
+                "cannot compound price levels: a return <= -1 wipes the level out"
+            )
+        return cls(returns=rets, prices=levels)
 
     @classmethod
     def with_shifted_levels(
@@ -78,15 +107,12 @@ class PriceSeries:
         minimum level at 1. Used by the synthetic generators, whose unit
         returns are additive moves rather than fractional rates.
         """
-        rets = tuple(float(r) for r in returns)
-        cum = []
-        acc = 0.0
-        for r in rets:
-            acc += r
-            cum.append(acc)
-        lo = min(cum, default=0.0)
+        rets = _float_vector(returns)
+        with np.errstate(over="ignore"):
+            cum = np.cumsum(rets)
+        lo = float(cum.min()) if len(cum) else 0.0
         start = base if base + lo > 0 else 1.0 - lo
-        return cls(returns=rets, prices=tuple(start + c for c in cum))
+        return cls(returns=rets, prices=start + cum)
 
 
 @dataclass(frozen=True)
@@ -151,7 +177,7 @@ class PanelData:
                 raise ValueError(f"unknown asset {asset!r} in returns map")
             if month not in month_set:
                 raise ValueError(f"unknown month {month!r} in returns map")
-        if any(a >= b for a, b in zip(self.months, self.months[1:])):
+        if not all(map(operator.lt, self.months, self.months[1:])):
             raise ValueError("months must be strictly increasing")
 
     def n_entries(self) -> int:
@@ -170,26 +196,31 @@ class PanelData:
         every one of those rows carried a price; otherwise they are
         synthesized: "compound" multiplies (1 + r) from `start` (the
         default; requires returns above -1), "shifted" treats returns as
-        additive moves on a base kept positive.
+        additive moves on a base kept positive, and "auto" compounds when
+        every return is above -1 and shifts otherwise.
         """
-        if synthesis not in ("compound", "shifted"):
+        if synthesis not in ("compound", "shifted", "auto"):
             raise ValueError(f"unknown synthesis mode {synthesis!r}")
-        obs = [m for m in self.months if (asset, m) in self.returns]
-        if not obs:
+        def keys(months):
+            return zip(itertools.repeat(asset), months)
+
+        present = list(map(self.returns.__contains__, keys(self.months)))
+        if True not in present:
             raise KeyError(f"asset {asset!r} has no observations")
-        lo, hi = self.months.index(obs[0]), self.months.index(obs[-1])
-        span = self.months[lo : hi + 1]
-        missing = [m for m in span if (asset, m) not in self.returns]
-        if missing:
+        lo = present.index(True)
+        hi = len(present) - present[::-1].index(True)
+        span = self.months[lo:hi]
+        if not all(present[lo:hi]):
+            missing = [m for m, p in zip(span, present[lo:hi]) if not p]
             raise ValueError(
                 f"asset {asset!r} has holes at {missing}; cannot form a series"
             )
-        rets = [self.returns[(asset, m)] for m in span]
-        if all((asset, m) in self.prices for m in span):
-            return PriceSeries(
-                returns=tuple(rets),
-                prices=tuple(self.prices[(asset, m)] for m in span),
-            )
+        rets = np.fromiter(map(self.returns.__getitem__, keys(span)), np.float64, len(span))
+        if all(map(self.prices.__contains__, keys(span))):
+            prices = np.fromiter(map(self.prices.__getitem__, keys(span)), np.float64, len(span))
+            return PriceSeries(returns=rets, prices=prices)
+        if synthesis == "auto":
+            synthesis = "compound" if np.all(rets > -1.0) else "shifted"
         if synthesis == "shifted":
             return PriceSeries.with_shifted_levels(rets, base=start)
         return PriceSeries.from_returns(rets, start=start)
@@ -198,8 +229,9 @@ class PanelData:
 def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
     """Parse a `date,asset,return[,price]` CSV into a PanelData.
 
-    Rejects duplicate (asset, date) rows and reports malformed rows with
-    their 1-based line number. A header-only input yields an empty panel.
+    Rejects duplicate (asset, date) rows and non-finite numbers, and
+    reports malformed rows with their 1-based line number. A header-only
+    input yields an empty panel.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
@@ -214,12 +246,85 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
     if header[:3] != ["date", "asset", "return"]:
         raise PanelParseError(1, f"expected header date,asset,return[,price], got {header}")
     has_price_col = len(header) >= 4 and header[3] == "price"
+    # Without quotes or NULs the csv module splits each line exactly at
+    # its commas, so such text can be split column-wise in bulk.
+    if isinstance(stream, str) and '"' not in stream and "\x00" not in stream:
+        body = lines[1:]
+        del lines, reader  # the bulk parser frees each line once it is split
+        panel = _parse_plain_lines(body, has_price_col)
+        if panel is not None:
+            return panel
+        reader = csv.reader(stream.splitlines())
+        next(reader)
+    return _parse_rows(reader, has_price_col)
 
+
+def _parse_plain_lines(lines: list[str], has_price_col: bool):
+    """Column-at-a-time parse of quote-free lines, or None if any is irregular.
+
+    Handles the common case (every line has the same field count, no
+    blank fields, finite numbers, no duplicate keys) with no per-row
+    Python code. Otherwise it returns None and `_parse_rows` reads the
+    lines one by one, so it alone decides what to skip and which line to
+    blame. Lines are split, and removed from `lines`, a chunk at a time,
+    so neither all lines nor all number fields stay alive at once.
+    """
+    widths = set(map(str.count, lines, itertools.repeat(",")))
+    if len(widths) != 1:
+        return None
+    width = widths.pop() + 1
+    if width < 3:
+        return None
+    with_prices = has_price_col and width >= 4
+    dates: list[str] = []
+    names: list[str] = []
+    rets: list[float] = []
+    levels: list[float] = []
+    while lines:
+        fields = ",".join(lines[:PARSE_CHUNK_LINES]).split(",")
+        del lines[:PARSE_CHUNK_LINES]
+        dates += map(str.strip, fields[0::width])
+        names += map(str.strip, fields[1::width])
+        try:
+            rets += map(float, fields[2::width])
+            if with_prices:
+                levels += map(float, fields[3::width])
+        except ValueError:  # also a blank price, which the row parser skips
+            return None
+    if "" in dates or "" in names:
+        return None
+    keys = list(zip(names, dates))
+    returns = dict(zip(keys, rets))
+    prices = dict(zip(keys, levels))
+    if len(returns) != len(keys):
+        return None
+    if not all(map(math.isfinite, itertools.chain(returns.values(), prices.values()))):
+        return None
+    return PanelData(
+        assets=sorted(dict.fromkeys(names)),
+        months=sorted(dict.fromkeys(dates)),
+        returns=returns,
+        prices=prices,
+    )
+
+
+def _parse_number(line_no: int, field_name: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise PanelParseError(line_no, f"non-numeric {field_name} {text!r}") from None
+    if not math.isfinite(value):
+        raise PanelParseError(line_no, f"non-finite {field_name} {text!r}")
+    return value
+
+
+def _parse_rows(rows: Iterable[list[str]], has_price_col: bool) -> PanelData:
+    """Row-by-row parse: skips blank rows, raises on the first bad line."""
     returns: dict[tuple[str, str], float] = {}
     prices: dict[tuple[str, str], float] = {}
     assets: set[str] = set()
     months: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < 3:
@@ -227,12 +332,7 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
         date, asset = row[0].strip(), row[1].strip()
         if not date or not asset:
             raise PanelParseError(line_no, "empty date or asset field")
-        try:
-            ret = float(row[2])
-        except ValueError:
-            raise PanelParseError(
-                line_no, f"non-numeric return {row[2]!r}"
-            ) from None
+        ret = _parse_number(line_no, "return", row[2])
         key = (asset, date)
         if key in returns:
             raise DuplicateRowError(
@@ -240,12 +340,7 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
             )
         returns[key] = ret
         if has_price_col and len(row) >= 4 and row[3].strip():
-            try:
-                prices[key] = float(row[3])
-            except ValueError:
-                raise PanelParseError(
-                    line_no, f"non-numeric price {row[3]!r}"
-                ) from None
+            prices[key] = _parse_number(line_no, "price", row[3])
         assets.add(asset)
         months.add(date)
     return PanelData(
@@ -256,9 +351,32 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
     )
 
 
+def context_codes(returns: Iterable[float], t: int) -> np.ndarray:
+    """Code of every t-wide direction window, as an int64 array.
+
+    Element k is the window ending at period k + t - 1, oldest bit most
+    significant, so n returns give n - t + 1 codes (none when n < t). The
+    codes are built from t shifted ORs of the UP bits (return > 0). This
+    is the one rolling-context implementation in the package.
+    """
+    if t < 1:
+        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
+    if t > MAX_CONTEXT_BITS:
+        raise CapacityError(f"lookback {t} exceeds the {MAX_CONTEXT_BITS}-bit code limit")
+    up = np.asarray(returns, dtype=np.float64) > 0
+    m = len(up) - t + 1
+    if m <= 0:
+        return np.zeros(0, dtype=np.int64)
+    codes = up[:m].astype(np.int64)
+    for j in range(1, t):
+        codes <<= 1
+        codes |= up[j : j + m]
+    return codes
+
+
 def directions(series: PriceSeries) -> DirectionVector:
     """Map returns to direction bits: 1 iff strictly positive, else 0."""
-    return DirectionVector(bits=tuple(1 if r > 0 else 0 for r in series.returns))
+    return DirectionVector(bits=tuple(context_codes(series.returns, 1).tolist()))
 
 
 def sliding_contexts(series: PriceSeries, t: int) -> list[tuple[int, Context]]:
@@ -268,19 +386,10 @@ def sliding_contexts(series: PriceSeries, t: int) -> list[tuple[int, Context]]:
     significant. A series of length n yields exactly n - t + 1 windows.
     """
     n = len(series)
-    if t < 1:
-        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
     if t > n:
         raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
-    bits = directions(series).bits
-    mask = (1 << t) - 1
-    out = []
-    code = 0
-    for i, b in enumerate(bits):
-        code = ((code << 1) | b) & mask
-        if i >= t - 1:
-            out.append((i, Context(lookback=t, code=code)))
-    return out
+    codes = context_codes(series.returns, t).tolist()
+    return [(t - 1 + k, Context(lookback=t, code=c)) for k, c in enumerate(codes)]
 
 
 def gen_random_walk(n: int, p_up: float, seed: int) -> PriceSeries:
@@ -308,6 +417,8 @@ def gen_planted(n: int, pattern: Context, edge: float, seed: int) -> PriceSeries
     mask = (1 << t) - 1
     rets: list[float] = []
     code = 0
+    # Sequential by nature: each move's odds depend on the code the
+    # previous moves built, so `context_codes` cannot be used here.
     for i in range(n):
         p = 0.5 + edge if (i >= t and code == pattern.code) else 0.5
         r = 1.0 if rng.random() < p else -1.0

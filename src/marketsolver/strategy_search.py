@@ -10,6 +10,10 @@ exhaustive search in the tests.
 Profit convention: the position selected after observing the context
 ending at period i is held during period i+1 and earns that period's raw
 return. Profits are additive in return units; no compounding.
+
+All three kernels read the context codes from `series.context_codes` and
+add floats in the same order as a plain loop over the periods would, so
+their results do not depend on how the work is blocked.
 """
 
 from __future__ import annotations
@@ -20,13 +24,20 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import CapacityError, InvalidWindowError
-from .series import PriceSeries
+from .series import PriceSeries, context_codes
 
 # Exhaustive-search guards. 2^(2^5) tables and 3^13 sequences are beyond
 # desk scale; anything above these limits raises CapacityError.
 MAX_BRUTE_LOOKBACK = 4
 MAX_SEQUENCE_LENGTH = 12
+
+# The profit kernel works on (periods x tables) float64 blocks of at most
+# this many bytes, over at most this many tables at a time.
+PROFIT_BLOCK_BYTES = 256 * 1024
+PROFIT_BLOCK_TABLES = 1024
 
 LONG = 1
 OUT = 0
@@ -133,6 +144,10 @@ class CriticalValue:
         if not isfinite(self.K):
             raise ValueError("critical value must be finite")
 
+    def beaten_by(self, profit: float) -> bool:
+        """Does `profit` beat the threshold, strictly?"""
+        return bool(profit > self.K)
+
 
 @dataclass
 class WorkCounter:
@@ -140,6 +155,39 @@ class WorkCounter:
 
     periods_scanned: int = 0
     strategies_evaluated: int = 0
+
+
+def _tradable(series: PriceSeries, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(context code, next return) for every period that follows a full window."""
+    return context_codes(series.returns, t)[:-1], series.returns[t:]
+
+
+def _table_profits(
+    positions: np.ndarray, codes: np.ndarray, nxt: np.ndarray
+) -> np.ndarray:
+    """Profit of each table column in `positions` (contexts x tables).
+
+    Each profit is 0.0 plus position * return over the periods in time
+    order, exactly as a scalar loop adds them.
+    """
+    # Summing axis 0 of a C-order (periods x tables) block adds row by row,
+    # in time order; numpy would sum a one-column block as a 1-D array
+    # (pairwise), so a single table gets a zero column beside it.
+    n_tables = positions.shape[1]
+    if n_tables == 1:
+        positions = np.hstack([positions, np.zeros_like(positions)])
+    width = positions.shape[1]
+    rows = max(1, PROFIT_BLOCK_BYTES // (8 * width))
+    block = np.empty((rows + 1, width))
+    acc = np.zeros(width)
+    for start in range(0, len(codes), rows):
+        k = min(rows, len(codes) - start)
+        block[0] = acc
+        gathered = block[1 : k + 1]
+        np.take(positions, codes[start : start + k], axis=0, out=gathered, mode="clip")
+        gathered *= nxt[start : start + k, None]
+        acc = block[: k + 1].sum(axis=0)
+    return acc[:n_tables]
 
 
 def evaluate(
@@ -156,18 +204,11 @@ def evaluate(
     n = len(series)
     if t > n:
         raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
-    table = strategy.table
-    mask = (1 << t) - 1
-    code = 0
-    profit = 0.0
-    scanned = 0
-    for i, r in enumerate(series.returns):
-        scanned += 1
-        if i >= t:
-            profit += table[code] * r
-        code = ((code << 1) | (1 if r > 0 else 0)) & mask
+    codes, nxt = _tradable(series, t)
+    positions = np.array(strategy.table, dtype=np.float64)[:, None]
+    profit = float(_table_profits(positions, codes, nxt)[0])
     if counter is not None:
-        counter.periods_scanned += scanned
+        counter.periods_scanned += n
         counter.strategies_evaluated += 1
     return profit
 
@@ -179,21 +220,24 @@ def best_position_sequence(series: PriceSeries) -> tuple[PositionSequence, float
     function of prior data); its profit sum(|r|) is the ceiling any
     strategy's profit can be compared against.
     """
-    positions = tuple(
-        LONG if r > 0 else (SHORT if r < 0 else OUT) for r in series.returns
-    )
-    profit = sum(abs(r) for r in series.returns)
+    returns = series.returns.tolist()
+    positions = tuple(LONG if r > 0 else (SHORT if r < 0 else OUT) for r in returns)
+    profit = sum(abs(r) for r in returns)
     return PositionSequence(positions=positions), profit
 
 
-def enumerate_long_or_out(t: int) -> Iterator[TechnicalStrategy]:
-    """Yield all 2^(2^t) long-or-out tables in ascending bitmask order."""
+def _check_enumerable(t: int) -> None:
     if t < 1:
         raise InvalidWindowError(f"lookback must be >= 1, got {t}")
     if t > MAX_BRUTE_LOOKBACK:
         raise CapacityError(
             f"lookback {t} exceeds enumeration guard {MAX_BRUTE_LOOKBACK}"
         )
+
+
+def enumerate_long_or_out(t: int) -> Iterator[TechnicalStrategy]:
+    """Yield all 2^(2^t) long-or-out tables in ascending bitmask order."""
+    _check_enumerable(t)
     n_contexts = 1 << t
     for mask in range(1 << n_contexts):
         table = tuple((mask >> code) & 1 for code in range(n_contexts))
@@ -212,18 +256,6 @@ def enumerate_position_sequences(n: int) -> Iterator[PositionSequence]:
         yield PositionSequence(positions=combo)
 
 
-def _context_stream(series: PriceSeries, t: int) -> list[tuple[int, float]]:
-    """(context code, next return) pairs for every tradable period."""
-    mask = (1 << t) - 1
-    code = 0
-    pairs = []
-    for i, r in enumerate(series.returns):
-        if i >= t:
-            pairs.append((code, r))
-        code = ((code << 1) | (1 if r > 0 else 0)) & mask
-    return pairs
-
-
 def brute_force_best(
     series: PriceSeries,
     t: int,
@@ -231,29 +263,29 @@ def brute_force_best(
 ) -> tuple[TechnicalStrategy, float]:
     """Exhaustively evaluate every long-or-out table and keep the best.
 
-    Ties break to the lowest table bitmask; since enumeration is in
-    ascending bitmask order, only strict improvements replace the
-    incumbent. Cost is 2^(2^t) full-series evaluations.
+    Every table is scored over the full series by the profit kernel, in
+    ascending bitmask order; ties break to the lowest bitmask (the first
+    maximum). Cost is 2^(2^t) full-series evaluations.
     """
     n = len(series)
     if t > n:
         raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
-    pairs = _context_stream(series, t)
-    best_strategy = None
-    best_profit = None
-    evaluated = 0
-    for strategy in enumerate_long_or_out(t):
-        table = strategy.table
-        profit = 0.0
-        for code, r in pairs:
-            profit += table[code] * r
-        evaluated += 1
-        if best_profit is None or profit > best_profit:
-            best_profit = profit
-            best_strategy = strategy
+    _check_enumerable(t)
+    codes, nxt = _tradable(series, t)
+    n_contexts = 1 << t
+    n_tables = 1 << n_contexts
+    bit = np.arange(n_contexts)[:, None]
+    profits = np.empty(n_tables)
+    for first in range(0, n_tables, PROFIT_BLOCK_TABLES):
+        masks = np.arange(first, min(n_tables, first + PROFIT_BLOCK_TABLES))
+        positions = ((masks >> bit) & 1).astype(np.float64)
+        profits[first : first + len(masks)] = _table_profits(positions, codes, nxt)
+    best = int(np.argmax(profits))
     if counter is not None:
-        counter.strategies_evaluated += evaluated
-    return best_strategy, best_profit
+        counter.strategies_evaluated += n_tables
+    table = tuple((best >> code) & 1 for code in range(n_contexts))
+    strategy = TechnicalStrategy(lookback=t, table=table, long_or_out=True)
+    return strategy, float(profits[best])
 
 
 def bucket_contexts(series: PriceSeries, t: int) -> ContextBuckets:
@@ -270,7 +302,8 @@ def bucket_contexts(series: PriceSeries, t: int) -> ContextBuckets:
             f"lookback {t} leaves no subsequent period in a series of length {n}"
         )
     buckets: dict[int, list[float]] = {}
-    for code, r in _context_stream(series, t):
+    codes, nxt = _tradable(series, t)
+    for code, r in zip(codes.tolist(), nxt.tolist()):
         buckets.setdefault(code, []).append(r)
     return ContextBuckets(lookback=t, buckets=buckets)
 
@@ -285,7 +318,9 @@ def optimal_strategy(
     Go long exactly the contexts whose subsequent returns sum positive; a
     bucket sum of zero stays out (indifference with no transaction costs).
     The profit is the sum of the positive bucket sums, which dominates
-    every long-or-out table's profit on this series.
+    every long-or-out table's profit on this series. Bucket sums add in
+    time order and the profit adds them in order of each context's first
+    occurrence.
     """
     n = len(series)
     if t < 1:
@@ -294,28 +329,23 @@ def optimal_strategy(
         raise InvalidWindowError(
             f"lookback {t} leaves no subsequent period in a series of length {n}"
         )
-    sums: dict[int, float] = {}
-    mask = (1 << t) - 1
-    code = 0
-    scanned = 0
-    for i, r in enumerate(series.returns):
-        scanned += 1
-        if i >= t:
-            sums[code] = sums.get(code, 0.0) + r
-        code = ((code << 1) | (1 if r > 0 else 0)) & mask
-    table = [OUT] * (1 << t)
-    profit = 0.0
-    for c, s in sums.items():
-        if s > 0:
-            table[c] = LONG
-            profit += s
+    codes, nxt = _tradable(series, t)
+    n_contexts = 1 << t
+    sums = np.bincount(codes, weights=nxt, minlength=n_contexts)
+    first_seen = np.full(n_contexts, len(codes))
+    np.minimum.at(first_seen, codes, np.arange(len(codes)))
+    seen = np.flatnonzero(first_seen < len(codes))
+    in_order = sums[seen[np.argsort(first_seen[seen])]]
+    gains = in_order[in_order > 0]
+    profit = float(np.cumsum(gains)[-1]) if len(gains) else 0.0
     if counter is not None:
-        counter.periods_scanned += scanned
-    strategy = TechnicalStrategy(lookback=t, table=tuple(table), long_or_out=True)
+        counter.periods_scanned += n
+    table = tuple(np.where(sums > 0, LONG, OUT).tolist())
+    strategy = TechnicalStrategy(lookback=t, table=table, long_or_out=True)
     return strategy, profit
 
 
 def decide_q3(series: PriceSeries, t: int, critical: CriticalValue) -> bool:
     """Does any long-or-out strategy beat the critical profit, strictly?"""
     _, profit = optimal_strategy(series, t)
-    return profit > critical.K
+    return critical.beaten_by(profit)

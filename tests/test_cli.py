@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from marketsolver.cli import bench_strategies, main, verify_scaling
 
 EXAMPLE_DIMACS = "p cnf 4 2\n1 2 -3 0\n1 -2 4 0\n"
@@ -233,3 +235,102 @@ class TestBench:
         records = json.loads(out)
         brute = [r for r in records if r["task"] == "brute_force"]
         assert [r["work_units"] for r in brute] == [16, 256]
+
+
+class TestHardening:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strategy", "optimal", "-", "--lookback", "0"],
+            ["sat", "solve", "-", "--budget", "-5"],
+            ["sat", "solve", "-", "--budget", "0"],
+            ["momentum", "backtest", "-", "--formation", "0"],
+            ["momentum", "backtest", "-", "--holding", "-1"],
+            ["momentum", "backtest", "-", "--deciles", "0"],
+            ["momentum", "backtest", "-", "--skip", "-1"],
+            ["momentum", "gen", "--assets", "0"],
+            ["momentum", "gen", "--months", "-3"],
+            ["bench", "verify-scaling", "--n", "0"],
+            ["strategy", "optimal", "-", "--lookback", "two"],
+        ],
+    )
+    def test_out_of_range_ints_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err
+
+    def test_zero_skip_is_allowed(self, tmp_path, capsys):
+        _, csv_text, _ = run_cli(
+            capsys, ["momentum", "gen", "--assets", "30", "--months", "40", "--seed", "2"]
+        )
+        path = tmp_path / "panel.csv"
+        path.write_text(csv_text)
+        code, _, _ = run_cli(
+            capsys, ["momentum", "backtest", str(path), "--formation", "3", "--skip", "0"]
+        )
+        assert code == 0
+
+    def test_infinite_return_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,asset,return\n2020-01,X,0.5\n2020-02,X,inf\n2020-03,X,0.5\n")
+        code, out, err = run_cli(capsys, ["strategy", "optimal", str(path), "--lookback", "1"])
+        assert code == 1
+        assert out == ""
+        assert "line 3" in err and "non-finite return" in err
+
+    def test_infinite_price_in_reduce_is_a_domain_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "sc.csv"
+        csv_path.write_text(
+            "date,asset,return,price\n2000-01,A,1.0,inf\n2000-02,A,1.0,2.0\n"
+        )
+        side = tmp_path / "sc.json"
+        side.write_text(json.dumps({"lookback": 1, "budget": 5, "target": 1, "tick": 1.0}))
+        code, out, err = run_cli(
+            capsys, ["knapsack", "reduce", str(csv_path), "--sidecar", str(side)]
+        )
+        assert code == 1
+        assert out == ""
+        assert "line 2" in err and "non-finite price" in err
+
+    def test_overflowing_profit_is_not_emitted(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        rows = "\n".join(f"2020-{m:02d},X,1e308" for m in range(1, 6))
+        path.write_text("date,asset,return\n" + rows + "\n")
+        code, out, err = run_cli(capsys, ["strategy", "optimal", str(path), "--lookback", "1"])
+        assert code == 1
+        assert out == ""
+        assert "JSON" in err
+
+    def test_undefined_t_stat_is_null(self, tmp_path, capsys):
+        rows = [f"2020-{m:02d},A{i:02d},0.5" for m in range(1, 10) for i in range(12)]
+        path = tmp_path / "panel.csv"
+        path.write_text("date,asset,return\n" + "\n".join(rows) + "\n")
+        code, out, _ = run_cli(
+            capsys,
+            ["momentum", "backtest", str(path), "--formation", "2", "--holding", "2",
+             "--deciles", "3"],
+        )
+        assert code == 0
+        assert json.loads(out)["t_stat"] is None
+
+    def test_decide_runs_the_optimum_once(self, tmp_path, capsys, monkeypatch):
+        from marketsolver import strategy_search
+
+        calls = []
+        real = strategy_search.optimal_strategy
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(strategy_search, "optimal_strategy", counted)
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_CSV)
+        code, out, _ = run_cli(
+            capsys, ["strategy", "decide", str(path), "--lookback", "1", "--target", "0.5"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        result = json.loads(out)
+        assert result["decision"] is (result["profit"] > 0.5)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from marketsolver import (
@@ -301,8 +302,8 @@ class TestScenarioSerialization:
         assert back.budget == sc.budget and back.target == sc.target
         assert back.tick == sc.tick
         for orig, rebuilt in zip(sc.assets, back.assets):
-            assert orig.returns == rebuilt.returns
-            assert orig.prices == rebuilt.prices
+            assert orig.returns.tolist() == rebuilt.returns.tolist()
+            assert orig.prices.tolist() == rebuilt.prices.tolist()
         assert decide_q4(back)[0] == decide_q4(sc)[0]
 
     def test_instance_json_round_trip(self):
@@ -317,3 +318,50 @@ class TestInstanceValidation:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             KnapsackInstance(items=((1, 1),), budget=0, target=1)
+
+
+class TestTickHardening:
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), 1e19, -1e19])
+    def test_non_finite_or_huge_values_raise(self, x):
+        from marketsolver.knapsack_bridge import ticks_array, to_ticks
+
+        with pytest.raises(QuantizationError):
+            to_ticks(x, 1.0)
+        with pytest.raises(QuantizationError):
+            ticks_array([1.0, x], 1.0)
+
+    def test_ticks_are_exact_int64(self):
+        from marketsolver.knapsack_bridge import ticks_array, to_ticks
+
+        ticks = ticks_array([0.07, -0.03, 1.5], 0.01)
+        assert ticks.dtype == np.int64
+        assert ticks.tolist() == [7, -3, 150]
+        assert ticks_array([2.0**62], 1.0).tolist() == [2**62]
+        assert to_ticks(0.07, 0.01) == 7 and type(to_ticks(0.07, 0.01)) is int
+
+    def test_first_misfit_is_named(self):
+        from marketsolver.knapsack_bridge import ticks_array
+
+        with pytest.raises(QuantizationError, match="^0.005 is not a multiple"):
+            ticks_array([0.01, 0.005, 0.0025], 0.01)
+
+    def test_non_finite_tick_rejected(self):
+        series = PriceSeries(returns=(1.0, 1.0), prices=(1.0, 1.0))
+        with pytest.raises(ValueError):
+            MultiAssetScenario(assets=[series], lookback=1, budget=1, target=1, tick=float("nan"))
+
+    def test_int64_overflowing_totals_raise(self):
+        big = float(2**61)
+        series = PriceSeries(returns=(1.0, 1.0, 1.0, 1.0), prices=(big,) * 4)
+        sc = MultiAssetScenario(assets=[series], lookback=1, budget=1, target=1)
+        with pytest.raises(QuantizationError, match="int64"):
+            scenario_to_knapsack(sc)
+
+    def test_totals_are_python_ints(self):
+        sc = hand_scenario()
+        agg = _aggregate_contexts(sc)
+        assert agg == {0: (4, 3), 1: (12, 1)}
+        assert all(type(x) is int for pair in agg.values() for x in pair)
+        witness = decide_q4(sc)[1]
+        profit, cost = realized_profit_and_cost(sc, witness)
+        assert type(profit) is int and type(cost) is int

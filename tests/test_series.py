@@ -67,8 +67,8 @@ class TestLoadPanelCsv:
         )
         panel = load_panel_csv(csv_text)
         srs = panel.series_for("AAA")
-        assert srs.prices == (5.0, 4.0)
-        assert srs.returns == (1.0, -1.0)
+        assert srs.prices.tolist() == [5.0, 4.0]
+        assert srs.returns.tolist() == [1.0, -1.0]
 
     def test_bad_header_rejected(self):
         with pytest.raises(PanelParseError):
@@ -134,8 +134,8 @@ class TestGenRandomWalk:
         assert len(gen_random_walk(0, 0.5, 1)) == 0
 
     def test_degenerate_probability(self):
-        assert gen_random_walk(5, 1.0, 3).returns == (1.0,) * 5
-        assert gen_random_walk(5, 0.0, 3).returns == (-1.0,) * 5
+        assert gen_random_walk(5, 1.0, 3).returns.tolist() == [1.0] * 5
+        assert gen_random_walk(5, 0.0, 3).returns.tolist() == [-1.0] * 5
 
     def test_fair_walk_up_fraction(self):
         srs = gen_random_walk(10_000, 0.5, seed=11)
@@ -206,8 +206,80 @@ class TestTypes:
 
     def test_from_returns_compounds_levels(self):
         srs = PriceSeries.from_returns([0.5, -0.5], start=100.0)
-        assert srs.prices == (150.0, 75.0)
+        assert srs.prices.tolist() == [150.0, 75.0]
 
     def test_from_returns_rejects_total_loss(self):
         with pytest.raises(ValueError):
             PriceSeries.from_returns([-1.0])
+
+
+class TestNonFiniteAndFastPath:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_return_names_line(self, value):
+        csv_text = f"date,asset,return\n2020-01,AAA,0.01\n2020-02,AAA,{value}\n"
+        with pytest.raises(PanelParseError) as exc:
+            load_panel_csv(csv_text)
+        assert exc.value.line_number == 3
+        assert "non-finite return" in str(exc.value)
+
+    def test_non_finite_price_names_line(self):
+        csv_text = "date,asset,return,price\n2020-01,AAA,0.01,inf\n"
+        with pytest.raises(PanelParseError) as exc:
+            load_panel_csv(csv_text)
+        assert exc.value.line_number == 2
+        assert "non-finite price" in str(exc.value)
+
+    def test_quoted_and_plain_text_parse_alike(self):
+        plain = "date,asset,return,price\n2020-01,AAA,0.5,2.0\n2020-02,AAA,-0.5,\n"
+        quoted = 'date,asset,return,price\n"2020-01",AAA,0.5,2.0\n2020-02,"AAA",-0.5,\n'
+        a, b = load_panel_csv(plain), load_panel_csv(quoted)
+        assert (a.assets, a.months, a.returns, a.prices) == (
+            b.assets, b.months, b.returns, b.prices
+        )
+        assert a.prices == {("AAA", "2020-01"): 2.0}
+
+    def test_late_bad_line_is_found_after_bulk_split(self):
+        rows = [f"{1000 + i // 12}-{i % 12 + 1:02d},X,0.01" for i in range(9000)]
+        rows[8500] = rows[8500].replace("0.01", "oops")
+        with pytest.raises(PanelParseError) as exc:
+            load_panel_csv("date,asset,return\n" + "\n".join(rows) + "\n")
+        assert exc.value.line_number == 8502
+
+    def test_late_blank_price_falls_back_to_row_parse(self):
+        rows = [f"{1000 + i // 12}-{i % 12 + 1:02d},X,0.01,1.5" for i in range(9000)]
+        rows[8500] = rows[8500][: -len(",1.5")] + ","
+        panel = load_panel_csv("date,asset,return,price\n" + "\n".join(rows) + "\n")
+        assert panel.n_entries() == 9000
+        assert len(panel.prices) == 8999
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        csv_text = "date,asset,return\n2020-01,AAA,0.5\n\n , ,\n2020-02,AAA,oops\n"
+        with pytest.raises(PanelParseError) as exc:
+            load_panel_csv(csv_text)
+        assert exc.value.line_number == 5
+
+    def test_duplicate_reports_its_line(self):
+        csv_text = "date,asset,return\n2020-01,AAA,0.5\n2020-02,AAA,0.5\n2020-01,AAA,0.1\n"
+        with pytest.raises(DuplicateRowError, match="line 4"):
+            load_panel_csv(csv_text)
+
+    def test_file_like_input(self):
+        import io
+
+        panel = load_panel_csv(io.StringIO("date,asset,return\n2020-01,AAA,0.5\n"))
+        assert panel.returns == {("AAA", "2020-01"): 0.5}
+
+    def test_auto_synthesis_shifts_unit_moves(self):
+        panel = load_panel_csv("date,asset,return\n2020-01,X,1.0\n2020-02,X,-1.0\n")
+        assert panel.series_for("X", synthesis="auto") == PriceSeries.with_shifted_levels(
+            [1.0, -1.0]
+        )
+        panel = load_panel_csv("date,asset,return\n2020-01,X,0.5\n2020-02,X,-0.5\n")
+        assert panel.series_for("X", synthesis="auto") == PriceSeries.from_returns([0.5, -0.5])
+
+    def test_hole_is_reported(self):
+        panel = load_panel_csv(
+            "date,asset,return\n2020-01,X,1\n2020-02,Y,1\n2020-03,X,1\n"
+        )
+        with pytest.raises(ValueError, match="holes at \\['2020-02'\\]"):
+            panel.series_for("X")
