@@ -13,6 +13,7 @@ from .errors import (
     MarketSolverError,
     PanelParseError,
     QuantizationError,
+    WitnessFormatError,
 )
 from .series import (
     Context,

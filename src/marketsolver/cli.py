@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import knapsack_bridge, momentum, sat_market, series, strategy_search
-from .errors import CapacityError, MarketSolverError
+from .errors import CapacityError, MarketSolverError, WitnessFormatError
 
 BENCH_SERIES_LENGTH = 512
 BENCH_SEED = 20240131
@@ -163,6 +163,22 @@ def _cmd_knapsack(args) -> int:
 # --------------------------------------------------------------------- sat
 
 
+def _parse_witness(text: str) -> dict[int, bool]:
+    """A JSON object mapping variable numbers to true/false, nothing looser."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise WitnessFormatError("witness must be a JSON object of variable numbers to booleans")
+    witness = {}
+    for key, value in raw.items():
+        if not isinstance(value, bool):
+            raise WitnessFormatError(f"witness value for {key!r} is {value!r}, not true or false")
+        try:
+            witness[int(key)] = value
+        except ValueError:
+            raise WitnessFormatError(f"witness key {key!r} is not a variable number") from None
+    return witness
+
+
 def _cmd_sat(args) -> int:
     formula = sat_market.parse_dimacs(_read_text(args.file))
     if args.action == "encode":
@@ -182,8 +198,7 @@ def _cmd_sat(args) -> int:
         if not args.witness:
             print("error: verify needs --witness FILE", file=sys.stderr)
             return 2
-        raw = json.loads(_read_text(args.witness))
-        witness = {int(k): bool(v) for k, v in raw.items()}
+        witness = _parse_witness(_read_text(args.witness))
         _emit({"verified": sat_market.verify_assignment(formula, witness)})
     return 0
 

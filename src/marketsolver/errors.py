@@ -37,6 +37,10 @@ class DimacsFormatError(MarketSolverError):
     """DIMACS input violates the cnf header or token grammar."""
 
 
+class WitnessFormatError(MarketSolverError):
+    """A witness is not a JSON object of variable numbers to booleans."""
+
+
 class ClauseArityError(MarketSolverError):
     """A CNF clause does not have exactly three literals."""
 

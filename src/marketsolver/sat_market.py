@@ -8,9 +8,9 @@ BUY at the mid fills on a DOWN tick, a SELL on an UP tick (the standard
 resting-limit convention), so TRUE corresponds to DOWN. A tick path that
 fills every group is exactly a satisfying assignment.
 
-`market_decides_sat` searches tick paths with unit-propagation pruning;
-`reference_dpll` is the independent clause-level oracle it is checked
-against.
+`market_decides_sat` searches tick paths with unit-propagation pruning
+over per-security occurrence lists; `reference_dpll` is the independent
+clause-level oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -199,13 +199,15 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS cnf; every clause must have exactly three literals.
 
     Comment lines start with 'c'; the 'p cnf <vars> <clauses>' header must
-    match the body.
+    match the body. A '%' line ends the clause data, as in SATLIB files.
     """
     header: Optional[tuple[int, int]] = None
     tokens: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:
@@ -217,6 +219,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise DimacsFormatError(f"non-numeric header counts in {line!r}") from None
+            if min(header) < 0:
+                raise DimacsFormatError(f"negative header counts in {line!r}")
             continue
         if header is None:
             raise DimacsFormatError("clause data before the problem header")
@@ -345,9 +349,21 @@ def market_decides_sat(
     """Decide satisfiability by searching market tick paths.
 
     Encodes the formula as OCO groups and explores per-security UP/DOWN
-    moves depth-first, propagating forced moves (a group whose only
-    remaining hope is one undecided order forces that order's direction)
-    and backtracking when a group dies. A path that fills every group is
+    moves depth-first, lowest undecided security first, DOWN before UP.
+    Each group is compiled once into its distinct (security, fill
+    direction) options; a group listing both moves of one security fills
+    whatever happens and is dropped. Every security keeps an occurrence
+    list of the groups it appears in.
+
+    Propagation is a queue of newly moved securities: it visits only
+    their groups, forces the last open option of a group (a move that
+    joins the queue) and stops at a dead group, one with no open option
+    left. Each search level records the moves it forced on a trail and
+    undoes them when it backtracks. At the root the queue starts from the
+    single-option groups. Unit propagation reaches the same fixpoint, or
+    a conflict, in any order, so the branch at every node, the node
+    count and the witness equal those of a search that rescans every
+    group until nothing changes. A path that fills every group is
     confirmed with apply_ticks and mapped back to a truth assignment.
 
     The budget caps branch decisions; running out yields the
@@ -360,75 +376,84 @@ def market_decides_sat(
     state = MarketState.default_for(f.num_vars)
     groups = encode_market(f, state)
     m = len(groups)
+    # Securities of dropped groups are still branched on, as every
+    # security that rests an order is.
     securities = sorted({o.security for g in groups for o in g.orders})
-    # required[g] lists (security, direction that fills) per order, in order.
-    required = [
-        [
-            (o.security, TickDirection.DOWN if o.side is Side.BUY else TickDirection.UP)
-            for o in g.orders
-        ]
-        for g in groups
+    # occurrences[s] lists the kept groups (their distinct options) that
+    # security s appears in. Index 0 is no security: its list holds the
+    # single-option groups, so visiting it forces them at the root.
+    occurrences: list[list[tuple[tuple[int, TickDirection], ...]]] = [
+        [] for _ in range(f.num_vars + 1)
     ]
-    ticks: TickAssignment = {}
+    for g in groups:
+        options = tuple(
+            dict.fromkeys(
+                (o.security, TickDirection.DOWN if o.side is Side.BUY else TickDirection.UP)
+                for o in g.orders
+            )
+        )
+        if len({s for s, _ in options}) < len(options):
+            continue  # lists both moves of one security: always fills
+        if len(options) == 1:
+            occurrences[0].append(options)
+        for s, _ in options:
+            occurrences[s].append(options)
+    # moves[s] is the direction security s has ticked, None while open.
+    moves: list[Optional[TickDirection]] = [None] * (f.num_vars + 1)
     nodes = 0
 
-    def propagate(assigned: list[int]) -> bool:
-        """Apply forced moves until fixpoint; False on a dead group."""
-        changed = True
-        while changed:
-            changed = False
-            for reqs in required:
-                if any(ticks.get(s) is d for s, d in reqs):
-                    continue  # group already fills
-                # Dedupe: repeated literals list one security twice.
-                open_opts = {(s, d) for s, d in reqs if s not in ticks}
-                if not open_opts:
-                    return False  # every order in the group is dead
-                if any(
-                    (s, TickDirection.DOWN) in open_opts
-                    and (s, TickDirection.UP) in open_opts
-                    for s, _ in open_opts
-                ):
-                    continue  # fills whichever way that security moves
-                if len(open_opts) == 1:
-                    s, d = open_opts.pop()
-                    ticks[s] = d
+    def propagate(queue: list[int], assigned: list[int]) -> bool:
+        """Force moves from the queued securities' groups; False on a dead group."""
+        while queue:
+            for options in occurrences[queue.pop()]:
+                last = None
+                for option in options:
+                    move = moves[option[0]]
+                    if move is None:
+                        if last is not None:
+                            break  # two open options: nothing forced yet
+                        last = option
+                    elif move is option[1]:
+                        break  # group already fills
+                else:
+                    if last is None:
+                        return False  # every order in the group is dead
+                    s, d = last
+                    moves[s] = d
                     assigned.append(s)
-                    changed = True
+                    queue.append(s)
         return True
 
-    def search() -> bool:
+    def search(queue: list[int]) -> bool:
         nonlocal nodes
         assigned: list[int] = []
-        if not propagate(assigned):
-            for s in assigned:
-                del ticks[s]
-            return False
-        unassigned = [s for s in securities if s not in ticks]
-        if not unassigned:
-            return True
-        sec = unassigned[0]
-        for direction in (TickDirection.DOWN, TickDirection.UP):
-            nodes += 1
-            if nodes > search_budget:
-                raise _BudgetExhausted
-            ticks[sec] = direction
-            if search():
+        if propagate(queue, assigned):
+            sec = next((s for s in securities if moves[s] is None), None)
+            if sec is None:
                 return True
-            del ticks[sec]
+            for direction in (TickDirection.DOWN, TickDirection.UP):
+                nodes += 1
+                if nodes > search_budget:
+                    raise _BudgetExhausted
+                moves[sec] = direction
+                if search([sec]):
+                    return True
+                moves[sec] = None
         for s in assigned:
-            del ticks[s]
+            moves[s] = None
         return False
 
     try:
-        found = search()
+        found = search([0])
     except _BudgetExhausted:
         return SatResult(status="BUDGET_EXHAUSTED", witness=None, nodes=nodes)
     if not found:
         return SatResult(status="UNSAT", witness=None, nodes=nodes)
     # Securities untouched by any group move UP (FALSE) by convention.
-    for v in range(1, f.num_vars + 1):
-        ticks.setdefault(v, TickDirection.UP)
+    ticks: TickAssignment = {
+        v: TickDirection.UP if moves[v] is None else moves[v]
+        for v in range(1, f.num_vars + 1)
+    }
     report = apply_ticks(state, groups, ticks)
     if report.groups_filled != m:
         raise AssertionError("search accepted a tick path that does not fill every group")

@@ -151,6 +151,28 @@ class TestSatCommands:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            {"1": "false", "2": "false", "3": "false"},
+            [1, 2],
+            {"1": 0, "2": 0, "3": 1},
+            {"x": True, "2": True, "3": True},
+        ],
+    )
+    def test_malformed_witness_is_a_domain_error(self, tmp_path, capsys, witness):
+        # bool("false") is True: coercing values would verify a wrong answer
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(witness))
+        code, out, err = run_cli(
+            capsys, ["sat", "verify", str(cnf), "--witness", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert "witness" in err and "Traceback" not in err
+
     def test_unsat_formula(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")

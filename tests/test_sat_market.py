@@ -92,6 +92,19 @@ class TestParseDimacs:
         with pytest.raises(DimacsFormatError):
             parse_dimacs("p cnf 2 1\n1 2 3 0\n")
 
+    def test_percent_line_ends_clause_data(self):
+        # SATLIB uf20-91 files end with "%" and a lone "0"
+        f = parse_dimacs("c uf\np cnf 3 2\n 1 -2 3 0\n-1 2 3 0\n%\n0\n\n")
+        assert f.clauses == (
+            ((1, False), (2, True), (3, False)),
+            ((1, True), (2, False), (3, False)),
+        )
+
+    @pytest.mark.parametrize("header", ["p cnf -2 1", "p cnf 2 -1"])
+    def test_negative_header_counts_rejected_at_the_header(self, header):
+        with pytest.raises(DimacsFormatError, match="negative header counts"):
+            parse_dimacs(header + "\n1 2 -1 0\n")
+
     def test_missing_header_rejected(self):
         with pytest.raises(DimacsFormatError):
             parse_dimacs("1 2 3 0\n")
