@@ -8,6 +8,7 @@ from .errors import (
     DegenerateSampleError,
     DimacsFormatError,
     DuplicateRowError,
+    InstanceFormatError,
     InsufficientDataError,
     InvalidWindowError,
     MarketSolverError,

@@ -163,8 +163,8 @@ def _cmd_knapsack(args) -> int:
 # --------------------------------------------------------------------- sat
 
 
-def _parse_witness(text: str) -> dict[int, bool]:
-    """A JSON object mapping variable numbers to true/false, nothing looser."""
+def _parse_witness(text: str, num_vars: int) -> dict[int, bool]:
+    """A JSON object mapping variables 1..num_vars to true/false, nothing looser."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise WitnessFormatError("witness must be a JSON object of variable numbers to booleans")
@@ -173,9 +173,12 @@ def _parse_witness(text: str) -> dict[int, bool]:
         if not isinstance(value, bool):
             raise WitnessFormatError(f"witness value for {key!r} is {value!r}, not true or false")
         try:
-            witness[int(key)] = value
+            var = int(key)
         except ValueError:
             raise WitnessFormatError(f"witness key {key!r} is not a variable number") from None
+        if not 1 <= var <= num_vars:
+            raise WitnessFormatError(f"witness key {key!r} names no variable in 1..{num_vars}")
+        witness[var] = value
     return witness
 
 
@@ -198,7 +201,7 @@ def _cmd_sat(args) -> int:
         if not args.witness:
             print("error: verify needs --witness FILE", file=sys.stderr)
             return 2
-        witness = _parse_witness(_read_text(args.witness))
+        witness = _parse_witness(_read_text(args.witness), formula.num_vars)
         _emit({"verified": sat_market.verify_assignment(formula, witness)})
     return 0
 

@@ -29,6 +29,10 @@ class QuantizationError(MarketSolverError):
     """A price or return is not an exact multiple of the tick."""
 
 
+class InstanceFormatError(MarketSolverError):
+    """A knapsack instance or scenario sidecar field is missing or not a JSON integer."""
+
+
 class CompletenessError(MarketSolverError):
     """A variable assignment or tick map is missing required entries."""
 

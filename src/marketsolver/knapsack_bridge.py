@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import CapacityError, QuantizationError
+from .errors import CapacityError, InstanceFormatError, QuantizationError
 from .series import PriceSeries, context_codes
 from .strategy_search import LONG, OUT, TechnicalStrategy
 
@@ -57,12 +58,34 @@ class KnapsackInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "KnapsackInstance":
+        """Parse the to_json format; every field must be a JSON integer."""
         obj = json.loads(text)
+        items = obj.get("items") if isinstance(obj, dict) else None
+        if not isinstance(items, list):
+            raise InstanceFormatError('instance must be a JSON object with an "items" list')
         return cls(
-            items=tuple((int(it["size"]), int(it["value"])) for it in obj["items"]),
-            budget=int(obj["budget"]),
-            target=int(obj["target"]),
+            items=tuple(
+                (_json_int(it, "size", f"item {i}"), _json_int(it, "value", f"item {i}"))
+                for i, it in enumerate(items)
+            ),
+            budget=_json_int(obj, "budget", "instance"),
+            target=_json_int(obj, "target", "instance"),
         )
+
+
+def _json_int(obj, key: str, where: str) -> int:
+    """obj[key] if it is a JSON integer; floats, bools and strings are refused.
+
+    Coercing them with int() would silently answer a different instance.
+    """
+    if not isinstance(obj, dict) or key not in obj:
+        raise InstanceFormatError(f"{where} has no {key!r} field")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceFormatError(
+            f"{where} field {key!r} must be a JSON integer, got {json.dumps(value)}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -136,14 +159,31 @@ def to_ticks(x: float, tick: float) -> int:
     return int(ticks_array(x, tick))
 
 
+def _exact_int_dtype(total: int, what: str) -> type:
+    """Narrowest of int32/int64 that holds every partial sum up to total.
+
+    Raises CapacityError when even int64 would wrap: numpy integers wrap
+    silently, so a larger total would give a wrong answer, not an error.
+    """
+    if total < 2**31:
+        return np.int32
+    if total < 2**63:
+        return np.int64
+    raise CapacityError(f"{what} total {total} exceeds the exact int64 range")
+
+
 def solve_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
     """Enumerate every subset; the oracle the DP is checked against.
 
     Ties on value break to the lexicographically smallest index set.
+    Subset sums are int64; CapacityError if the sizes or the values
+    total 2**63 or more.
     """
     n = len(inst.items)
     if n > MAX_BRUTE_ITEMS:
         raise CapacityError(f"{n} items exceeds brute-force guard {MAX_BRUTE_ITEMS}")
+    _exact_int_dtype(sum(s for s, _ in inst.items), "item size")
+    _exact_int_dtype(sum(v for _, v in inst.items), "item value")
     # Subset sums by doubling: index = bitmask, bit i = item i.
     sizes = np.zeros(1, dtype=np.int64)
     values = np.zeros(1, dtype=np.int64)
@@ -163,32 +203,54 @@ def solve_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
 
 
 def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
-    """Standard table over budgets 0..B, pseudo-polynomial in B."""
+    """0/1 knapsack by DP over budgets 0..B, pseudo-polynomial in B.
+
+    One value row over budgets 0..B holds the best value of the items seen
+    so far; it is updated in place per item (s, v) from a separate scratch
+    row of row[b - s] + v, so each item is used at most once. Item i's take
+    bits, "row[b] rose strictly when item i came in", are packed 8 budgets
+    to a byte into an n x ceil((B+1)/8) table, and the walk back from B
+    takes item i when its bit at the remaining budget is set: the same
+    test as comparing rows i and i+1 of the full (n+1) x (B+1) table, so
+    the chosen set is the same too.
+
+    The row is int32 when the item values total less than 2**31 and int64
+    when they total less than 2**63, exact either way; a larger total
+    raises CapacityError. Memory is about (B+1)*(2*width + 1) + n*(B+1)/8
+    bytes for a width of 4 or 8 bytes. The cell count (n+1)*(B+1) is still
+    capped at MAX_DP_CELLS.
+    """
     n = len(inst.items)
-    if (inst.budget + 1) * (n + 1) > MAX_DP_CELLS:
+    budget = inst.budget
+    if (budget + 1) * (n + 1) > MAX_DP_CELLS:
         raise CapacityError(
-            f"DP table of {(inst.budget + 1) * (n + 1)} cells exceeds cap {MAX_DP_CELLS}"
+            f"DP table of {(budget + 1) * (n + 1)} cells exceeds cap {MAX_DP_CELLS}"
         )
-    # dp[i][b]: best value using items < i within budget b.
-    dp = np.zeros((n + 1, inst.budget + 1), dtype=np.int64)
+    dtype = _exact_int_dtype(sum(v for _, v in inst.items), "item value")
+    row = np.zeros(budget + 1, dtype=dtype)
+    taken = np.empty(budget + 1, dtype=dtype)
+    gain = np.empty(budget + 1, dtype=bool)
+    took = np.zeros((n, (budget + 8) // 8), dtype=np.uint8)
     for i, (s, v) in enumerate(inst.items):
-        dp[i + 1] = dp[i]
-        if s <= inst.budget:
-            taken = dp[i, : inst.budget - s + 1] + v
-            dp[i + 1, s:] = np.maximum(dp[i, s:], taken)
-    best_value = int(dp[n, inst.budget])
-    # Walk the table back to a witness subset.
+        if s > budget:
+            continue
+        fits = budget - s + 1
+        np.add(row[:fits], v, out=taken[:fits])
+        gain[:s] = False
+        np.greater(taken[:fits], row[s:], out=gain[s:])
+        np.maximum(row[s:], taken[:fits], out=row[s:])
+        took[i] = np.packbits(gain)
+    # Walk the take bits back to a witness subset.
     chosen = []
-    b = inst.budget
-    for i in range(n, 0, -1):
-        if dp[i, b] != dp[i - 1, b]:
-            s, _ = inst.items[i - 1]
-            chosen.append(i - 1)
-            b -= s
+    b = budget
+    for i in range(n - 1, -1, -1):
+        if (took[i, b >> 3] >> (7 - (b & 7))) & 1:
+            chosen.append(i)
+            b -= inst.items[i][0]
     chosen.reverse()
     total_size = sum(inst.items[i][0] for i in chosen)
     return KnapsackSolution(
-        chosen=tuple(chosen), total_size=total_size, total_value=best_value
+        chosen=tuple(chosen), total_size=total_size, total_value=int(row[budget])
     )
 
 
@@ -356,8 +418,25 @@ def write_scenario_csv(sc: MultiAssetScenario) -> tuple[str, dict]:
 
 
 def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
-    """Rebuild a scenario from the CSV panel plus its sidecar."""
+    """Rebuild a scenario from the CSV panel plus its sidecar.
+
+    The sidecar's lookback, budget and target must be JSON integers and
+    its tick a positive, finite JSON number.
+    """
     from .series import load_panel_csv
+
+    lookback, budget, target = (
+        _json_int(sidecar, key, "sidecar") for key in ("lookback", "budget", "target")
+    )
+    tick = sidecar.get("tick")
+    # an integer beyond the float range would fail float() with OverflowError
+    if isinstance(tick, bool) or not isinstance(tick, (int, float)) or not (
+        0 < tick <= sys.float_info.max
+    ):
+        raise InstanceFormatError(
+            f"sidecar field 'tick' must be a JSON number, positive and finite, "
+            f"got {json.dumps(tick)}"
+        )
 
     panel = load_panel_csv(csv_text)
     assets = []
@@ -375,9 +454,5 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
             raise ValueError(f"scenario asset {name!r} is missing a price at {m!r}")
         assets.append(PriceSeries(returns=rets, prices=prices))
     return MultiAssetScenario(
-        assets=assets,
-        lookback=int(sidecar["lookback"]),
-        budget=int(sidecar["budget"]),
-        target=int(sidecar["target"]),
-        tick=float(sidecar["tick"]),
+        assets=assets, lookback=lookback, budget=budget, target=target, tick=float(tick)
     )

@@ -199,7 +199,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS cnf; every clause must have exactly three literals.
 
     Comment lines start with 'c'; the 'p cnf <vars> <clauses>' header must
-    match the body. A '%' line ends the clause data, as in SATLIB files.
+    match the body and declare at least one variable. A '%' line ends the
+    clause data, as in SATLIB files.
     """
     header: Optional[tuple[int, int]] = None
     tokens: list[int] = []
@@ -221,6 +222,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsFormatError(f"non-numeric header counts in {line!r}") from None
             if min(header) < 0:
                 raise DimacsFormatError(f"negative header counts in {line!r}")
+            if header[0] == 0:
+                raise DimacsFormatError(f"header declares no variables in {line!r}")
             continue
         if header is None:
             raise DimacsFormatError("clause data before the problem header")

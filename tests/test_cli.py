@@ -121,6 +121,81 @@ class TestKnapsackCommands:
         assert reduced["witness"] is not None
 
 
+class TestKnapsackInputs:
+    """Instance and sidecar fields must be JSON integers; nothing is coerced."""
+
+    GOOD = {"items": [{"size": 1, "value": 3}, {"size": 2, "value": 4}], "budget": 2, "target": 1}
+
+    def solve(self, tmp_path, capsys, instance):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        return run_cli(capsys, ["knapsack", "solve", str(path)])
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("size", 1.7), ("size", True), ("value", "3"), ("value", None)],
+    )
+    def test_non_integer_item_field(self, tmp_path, capsys, field, bad):
+        instance = json.loads(json.dumps(self.GOOD))
+        instance["items"][0][field] = bad
+        code, out, err = self.solve(tmp_path, capsys, instance)
+        assert code == 1
+        assert out == ""
+        assert f"item 0 field '{field}' must be a JSON integer" in err
+
+    @pytest.mark.parametrize("field, bad", [("budget", 2.9), ("target", "1"), ("budget", False)])
+    def test_non_integer_instance_field(self, tmp_path, capsys, field, bad):
+        code, out, err = self.solve(tmp_path, capsys, {**self.GOOD, field: bad})
+        assert code == 1
+        assert out == ""
+        assert f"instance field '{field}' must be a JSON integer" in err
+
+    @pytest.mark.parametrize("instance", [[1, 2], {"items": "ab", "budget": 2, "target": 1}])
+    def test_instance_that_is_not_an_object_with_items(self, tmp_path, capsys, instance):
+        code, out, err = self.solve(tmp_path, capsys, instance)
+        assert code == 1
+        assert out == ""
+        assert "items" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [{"size": 1, "value": 2**62}, {"size": 1, "value": 2**62}],
+            [{"size": 1, "value": 2**65}],
+        ],
+    )
+    def test_values_beyond_int64_are_a_domain_error(self, tmp_path, capsys, items):
+        # an int64 table used to wrap and print "chosen": [0] with exit 0
+        code, out, err = self.solve(tmp_path, capsys, {**self.GOOD, "items": items})
+        assert code == 1
+        assert out == ""
+        assert "int64" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("lookback", 1.5),
+            ("budget", "5"),
+            ("target", True),
+            ("tick", "0.01"),
+            pytest.param("tick", 10**400, id="tick-beyond-float"),
+        ],
+    )
+    def test_malformed_sidecar_field(self, tmp_path, capsys, field, bad):
+        prefix = str(tmp_path / "scenario")
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(self.GOOD))
+        assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
+        side_path = tmp_path / "scenario.json"
+        side_path.write_text(json.dumps({**json.loads(side_path.read_text()), field: bad}))
+        code, out, err = run_cli(
+            capsys, ["knapsack", "reduce", prefix + ".csv", "--sidecar", str(side_path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert f"sidecar field '{field}' must be a JSON" in err
+
+
 class TestSatCommands:
     def test_encode(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -158,6 +233,9 @@ class TestSatCommands:
             [1, 2],
             {"1": 0, "2": 0, "3": 1},
             {"x": True, "2": True, "3": True},
+            {"1": False, "2": False, "3": False, "7": True},
+            {"1": False, "2": False, "3": False, "-4": True},
+            {"0": True, "1": False, "2": False, "3": False},
         ],
     )
     def test_malformed_witness_is_a_domain_error(self, tmp_path, capsys, witness):
@@ -172,6 +250,14 @@ class TestSatCommands:
         assert code == 1
         assert out == ""
         assert "witness" in err and "Traceback" not in err
+
+    def test_header_without_variables_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 0 0\n")
+        code, out, err = run_cli(capsys, ["sat", "solve", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "header declares no variables" in err
 
     def test_unsat_formula(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"

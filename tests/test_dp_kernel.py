@@ -1,0 +1,169 @@
+"""The rolling-row knapsack DP against the full-table DP it replaced.
+
+`ref_solve_dp` below is the (n+1) x (B+1) int64 table DP that `solve_dp`
+used to be. The rolling row with packed take bits must return the same
+witness, size and value, not just the same optimum: the walk back asks
+the same question of both layouts.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from marketsolver import (
+    CapacityError,
+    KnapsackInstance,
+    KnapsackSolution,
+    solve_bruteforce,
+    solve_dp,
+)
+from marketsolver.knapsack_bridge import _exact_int_dtype
+
+# ------------------------------------------------------- frozen reference
+
+
+def ref_solve_dp(inst):
+    n = len(inst.items)
+    dp = np.zeros((n + 1, inst.budget + 1), dtype=np.int64)
+    for i, (s, v) in enumerate(inst.items):
+        dp[i + 1] = dp[i]
+        if s <= inst.budget:
+            taken = dp[i, : inst.budget - s + 1] + v
+            dp[i + 1, s:] = np.maximum(dp[i, s:], taken)
+    best_value = int(dp[n, inst.budget])
+    chosen = []
+    b = inst.budget
+    for i in range(n, 0, -1):
+        if dp[i, b] != dp[i - 1, b]:
+            chosen.append(i - 1)
+            b -= inst.items[i - 1][0]
+    chosen.reverse()
+    total_size = sum(inst.items[i][0] for i in chosen)
+    return KnapsackSolution(chosen=tuple(chosen), total_size=total_size, total_value=best_value)
+
+
+def assert_same(inst):
+    got = solve_dp(inst)
+    assert got == ref_solve_dp(inst)
+    assert got.total_size <= inst.budget
+    assert sum(inst.items[i][1] for i in got.chosen) == got.total_value
+    return got
+
+
+# ---------------------------------------------------------------- inputs
+
+
+@st.composite
+def instances(draw):
+    budget = draw(st.integers(1, 80))
+    # a small value alphabet makes ties common; sizes reach past the budget
+    size = st.integers(1, budget + 10)
+    value = st.one_of(st.integers(1, 4), st.integers(1, 1000))
+    pool = draw(st.lists(st.tuples(size, value), min_size=1, max_size=6))
+    # drawing from a small pool repeats whole items
+    items = draw(st.lists(st.sampled_from(pool), max_size=14))
+    return KnapsackInstance(items=tuple(items), budget=budget, target=1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances())
+def test_matches_full_table_on_generated_instances(inst):
+    assert_same(inst)
+
+
+def test_matches_full_table_on_seeded_instances():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        n = rng.randint(0, 14)
+        budget = rng.choice([1, 2, rng.randint(1, 60), rng.randint(1, 3000)])
+        top = rng.choice([3, 50, budget + 5, 2 * budget + 1])
+        values = rng.choice([3, 100, 10**6])
+        items = [(rng.randint(1, top), rng.randint(1, values)) for _ in range(n)]
+        if items and rng.random() < 0.3:
+            items[rng.randrange(n)] = rng.choice(items)
+        assert_same(KnapsackInstance(items=tuple(items), budget=budget, target=1))
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_every_item_count_up_to_fourteen(n):
+    rng = random.Random(n)
+    items = tuple((rng.randint(1, 40), rng.randint(1, 30)) for _ in range(n))
+    assert_same(KnapsackInstance(items=items, budget=rng.randint(1, 120), target=1))
+
+
+def test_budget_one():
+    inst = KnapsackInstance(items=((1, 3), (2, 9), (1, 3), (1, 4)), budget=1, target=1)
+    assert assert_same(inst).chosen == (3,)
+
+
+def test_items_larger_than_the_budget_are_never_taken():
+    inst = KnapsackInstance(items=((9, 100), (3, 2), (10, 50), (2, 2)), budget=5, target=1)
+    assert assert_same(inst).chosen == (1, 3)
+
+
+def test_duplicate_items_and_value_ties():
+    inst = KnapsackInstance(items=((2, 5),) * 5 + ((3, 5), (1, 5)), budget=4, target=1)
+    assert assert_same(inst).total_value == 10
+
+
+# -------------------------------------------------------- exact row dtype
+
+
+@pytest.mark.parametrize(
+    "items, dtype",
+    [
+        (((1, 2**30), (1, 2**30 - 2), (1, 1)), np.int32),  # total 2**31 - 1
+        (((1, 2**30), (1, 2**30 - 1), (1, 1)), np.int64),  # total 2**31
+        (((1, 2**62), (1, 2**62 - 2), (1, 1)), np.int64),  # total 2**63 - 1
+    ],
+)
+def test_value_totals_at_the_dtype_edges(items, dtype):
+    assert _exact_int_dtype(sum(v for _, v in items), "item value") is dtype
+    for budget in (1, 2, 3):
+        assert_same(KnapsackInstance(items=items, budget=budget, target=1))
+    sol = solve_dp(KnapsackInstance(items=items, budget=2, target=1))
+    assert sol.chosen == (0, 1) and sol.total_value == items[0][1] + items[1][1]
+
+
+def test_int32_row_with_many_items_near_the_edge():
+    rng = random.Random(31)
+    for _ in range(50):
+        n = rng.randint(1, 14)
+        cuts = sorted(rng.sample(range(1, 2**31 - 1), n - 1))
+        values = [b - a for a, b in zip([0] + cuts, cuts + [2**31 - 1])]
+        items = tuple((rng.randint(1, 30), v) for v in values)
+        assert _exact_int_dtype(sum(values), "item value") is np.int32
+        assert_same(KnapsackInstance(items=items, budget=rng.randint(1, 100), target=1))
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ((1, 2**62), (1, 2**62)),
+        ((1, 2**65),),
+        ((1, 2**63 - 1), (5, 1)),
+    ],
+)
+def test_value_totals_beyond_int64_raise(items):
+    inst = KnapsackInstance(items=items, budget=2, target=1)
+    with pytest.raises(CapacityError, match="int64"):
+        solve_dp(inst)
+    with pytest.raises(CapacityError, match="int64"):
+        solve_bruteforce(inst)
+
+
+def test_bruteforce_size_totals_beyond_int64_raise():
+    inst = KnapsackInstance(items=((2**62, 1), (2**62, 1), (1, 1)), budget=2, target=1)
+    with pytest.raises(CapacityError, match="item size"):
+        solve_bruteforce(inst)
+    assert solve_dp(inst).chosen == (2,)
+
+
+def test_largest_exact_value_total_is_solved():
+    inst = KnapsackInstance(items=((1, 2**62), (1, 2**62 - 1)), budget=2, target=1)
+    for solve in (solve_dp, solve_bruteforce):
+        sol = solve(inst)
+        assert sol.chosen == (0, 1) and sol.total_value == 2**63 - 1

@@ -105,6 +105,10 @@ class TestParseDimacs:
         with pytest.raises(DimacsFormatError, match="negative header counts"):
             parse_dimacs(header + "\n1 2 -1 0\n")
 
+    def test_header_without_variables_rejected_at_the_header(self):
+        with pytest.raises(DimacsFormatError, match="header declares no variables"):
+            parse_dimacs("p cnf 0 0\n")
+
     def test_missing_header_rejected(self):
         with pytest.raises(DimacsFormatError):
             parse_dimacs("1 2 3 0\n")
