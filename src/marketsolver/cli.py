@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -132,7 +133,7 @@ def _cmd_knapsack(args) -> int:
         if args.strict:
             sc.target += 1
         inst, mapping = knapsack_bridge.scenario_to_knapsack(sc)
-        decision, witness = knapsack_bridge.decide_q4(sc)
+        decision, witness = knapsack_bridge.decide_q4(sc, reduced=(inst, mapping))
         _emit(
             {
                 "instance": json.loads(inst.to_json()),
@@ -224,11 +225,12 @@ def _cmd_momentum(args) -> int:
             args.assets, args.months, args.persistence, args.seed
         )
         sys.stdout.write("date,asset,return\n")
-        for month in panel.months:
-            for asset in panel.assets:
-                key = (asset, month)
-                if key in panel.returns:
-                    sys.stdout.write(f"{month},{asset},{panel.returns[key]!r}\n")
+        for month, column in zip(panel.months, panel.return_matrix.T.tolist()):
+            sys.stdout.write("".join(
+                f"{month},{asset},{r!r}\n"
+                for asset, r in zip(panel.assets, column)
+                if not math.isnan(r)
+            ))
         return 0
     panel = series.load_panel_csv(_read_text(args.file))
     cfg = _momentum_config(args)

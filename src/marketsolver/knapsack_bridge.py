@@ -13,7 +13,6 @@ tick; prices and returns must quantize exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -352,15 +351,18 @@ def knapsack_to_scenario(
 
 def decide_q4(
     sc: MultiAssetScenario,
+    reduced: Optional[tuple[KnapsackInstance, dict[int, int]]] = None,
 ) -> tuple[bool, Optional[TechnicalStrategy]]:
     """Budget-constrained strategy decision via the knapsack reduction.
 
     Reduces, solves by DP, and converts the chosen items back to a
     long-or-out table. A YES answer is re-verified directly against the
     scenario: the witness's realized profit must reach the target and its
-    summed entry prices must fit the budget, both in tick units.
+    summed entry prices must fit the budget, both in tick units. A caller
+    that already holds `scenario_to_knapsack(sc)` passes it as `reduced`,
+    so the scenario is not reduced twice.
     """
-    inst, mapping = scenario_to_knapsack(sc)
+    inst, mapping = scenario_to_knapsack(sc) if reduced is None else reduced
     if not inst.items:
         return False, None
     sol = solve_dp(inst)
@@ -439,17 +441,18 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
         )
 
     panel = load_panel_csv(csv_text)
+    no_prices = np.full(len(panel.months), np.nan)
     assets = []
-    for name in panel.assets:
-        keys = list(zip(itertools.repeat(name), panel.months))
-        rets = list(map(panel.returns.get, keys))
-        prices = list(map(panel.prices.get, keys))
-        if None in prices:
-            # a row without a return carries no price either, so the first
+    for i, name in enumerate(panel.assets):
+        rets = panel.return_matrix[i]
+        prices = no_prices if panel.price_matrix is None else panel.price_matrix[i]
+        gaps = np.flatnonzero(np.isnan(prices))
+        if len(gaps):
+            # a cell without a return carries no price either, so the first
             # missing price is the first incomplete month
-            gap = prices.index(None)
+            gap = int(gaps[0])
             m = panel.months[gap]
-            if rets[gap] is None:
+            if math.isnan(rets[gap]):
                 raise ValueError(f"scenario asset {name!r} has a hole at {m!r}")
             raise ValueError(f"scenario asset {name!r} is missing a price at {m!r}")
         assets.append(PriceSeries(returns=rets, prices=prices))

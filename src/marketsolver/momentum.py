@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSampleError, InsufficientDataError
 from .series import PanelData
@@ -104,16 +105,6 @@ def t_statistic(returns: Sequence[float]) -> float:
     return float(arr.mean() / (sd / math.sqrt(n)))
 
 
-def _panel_matrix(panel: PanelData) -> np.ndarray:
-    """Assets x months return matrix with NaN holes."""
-    asset_idx = {a: i for i, a in enumerate(panel.assets)}
-    month_idx = {m: j for j, m in enumerate(panel.months)}
-    mat = np.full((len(panel.assets), len(panel.months)), np.nan)
-    for (asset, month), r in panel.returns.items():
-        mat[asset_idx[asset], month_idx[month]] = r
-    return mat
-
-
 def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
     """Winners-minus-losers backtest over the panel.
 
@@ -123,61 +114,79 @@ def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
     skipped and counted in months_skipped; assets missing a return during
     a holding month drop out of that cohort's leg with the remaining
     weights renormalized.
+
+    Every cohort is ranked at once, and each leg is one gathered
+    (cohorts x k) block averaged row by row, so each float is added in the
+    same order as a per-cohort `mean` would add it.
     """
-    J, K, skip = cfg.formation_months, cfg.holding_months, cfg.skip_months
+    J, K, skip, D = cfg.formation_months, cfg.holding_months, cfg.skip_months, cfg.decile_count
     M = len(panel.months)
     if M < J + K + skip + 1:
         raise InsufficientDataError(
             f"panel spans {M} months; need at least {J + K + skip + 1}"
         )
-    R = _panel_matrix(panel)
-    n_assets = R.shape[0]
+    R = panel.return_matrix
     observed = ~np.isnan(R)
-    history = observed.cumsum(axis=1)
+    seen = np.zeros((R.shape[0], M + 1), dtype=np.intp)  # observed months before j
+    np.cumsum(observed, axis=1, out=seen[:, 1:])
 
-    # Cohort formed at month c ranks on months c-skip-J+1..c-skip and
-    # trades months c+1..c+K.
-    first_formation = J - 1 + skip
-    winners: dict[int, np.ndarray] = {}
-    losers: dict[int, np.ndarray] = {}
-    months_skipped = 0
-    for c in range(first_formation, M - 1):
-        w0 = c - skip - J + 1
-        window = R[:, w0 : c - skip + 1]
-        eligible = ~np.isnan(window).any(axis=1)
-        eligible &= history[:, c] >= cfg.required_history
-        idx = np.nonzero(eligible)[0]
-        if idx.size < cfg.decile_count:
-            months_skipped += 1
-            continue
-        scores = window[idx].sum(axis=1)
-        order = idx[np.lexsort((idx, scores))]
-        k = idx.size // cfg.decile_count
-        losers[c] = order[:k]
-        winners[c] = order[-k:]
+    # Cohort q is formed at month c = first + q, ranks on window q (months
+    # q..q+J-1 = c-skip-J+1..c-skip) and trades months c+1..c+K.
+    first = J - 1 + skip
+    formed = np.arange(first, M - 1)
+    n_cohorts = len(formed)
+    # numpy reduces each J-wide window on its own, as it did the rows of a
+    # per-cohort (assets x J) block.
+    scores = sliding_window_view(R, J, axis=1)[:, :n_cohorts].sum(axis=-1)
+    eligible = seen[:, J : J + n_cohorts] - seen[:, :n_cohorts] == J
+    eligible &= seen[:, first + 1 : M] >= cfg.required_history
+    # Eligible assets first, by score; lexsort is stable, so ties keep
+    # ascending asset order.
+    order = np.lexsort((scores, ~eligible), axis=0)
+    ranked_count = eligible.sum(axis=0)
+    leg = ranked_count // D
+    cohort_ret = np.zeros((n_cohorts, K))
+    live = np.zeros((n_cohorts, K), dtype=bool)
+    for k in np.unique(leg[leg > 0]).tolist():
+        q = np.flatnonzero(leg == k)
+        losers = order[:k, q].T
+        winners = order[(ranked_count[q] - k)[:, None] + np.arange(k), q[:, None]]
+        for h in range(1, K + 1):
+            held = formed[q] + h
+            inside = held < M
+            m = held[inside, None]
+            long_leg, short_leg = R[winners[inside], m], R[losers[inside], m]
+            rows = q[inside]
+            cohort_ret[rows, h - 1] = long_leg.sum(axis=1) / k - short_leg.sum(axis=1) / k
+            live[rows, h - 1] = True
+            holes = np.isnan(long_leg).any(axis=1) | np.isnan(short_leg).any(axis=1)
+            for r in np.flatnonzero(holes).tolist():
+                longs = long_leg[r][~np.isnan(long_leg[r])]
+                shorts = short_leg[r][~np.isnan(short_leg[r])]
+                live[rows[r], h - 1] = longs.size > 0 and shorts.size > 0
+                if live[rows[r], h - 1]:
+                    cohort_ret[rows[r], h - 1] = longs.mean() - shorts.mean()
 
-    monthly: list[tuple[str, float]] = []
-    for m in range(first_formation + K, M):
-        cohort_returns = []
-        for c in range(m - K, m):
-            if c not in winners:
-                continue
-            long_leg = R[winners[c], m]
-            short_leg = R[losers[c], m]
-            long_leg = long_leg[~np.isnan(long_leg)]
-            short_leg = short_leg[~np.isnan(short_leg)]
-            if long_leg.size == 0 or short_leg.size == 0:
-                continue
-            cohort_returns.append(float(long_leg.mean() - short_leg.mean()))
-        if cohort_returns:
-            monthly.append((panel.months[m], float(np.mean(cohort_returns))))
+    # Month m averages cohorts m-K..m-1, oldest first: column j holds
+    # cohort m-K+j in its (K-j)-th holding month.
+    reported = np.arange(first + K, M)
+    q = reported[:, None] - K + np.arange(K) - first
+    h = K - 1 - np.arange(K)
+    month_rets, month_live = cohort_ret[q, h], live[q, h]
+    full = month_live.all(axis=1)
+    means = np.zeros(len(reported))
+    means[full] = month_rets[full].sum(axis=1) / K
+    for r in np.flatnonzero(~full & month_live.any(axis=1)).tolist():
+        means[r] = month_rets[r][month_live[r]].mean()
+    used = np.flatnonzero(month_live.any(axis=1))
+    monthly = [(panel.months[m], r) for m, r in zip(reported[used].tolist(), means[used].tolist())]
 
     series = [r for _, r in monthly]
     result = BacktestResult(
         monthly_returns=monthly,
         cumulative=float(sum(series)),
         months_used=len(monthly),
-        months_skipped=months_skipped,
+        months_skipped=int(np.count_nonzero(ranked_count < D)),
     )
     try:
         result.t_stat = t_statistic(series)
@@ -188,7 +197,7 @@ def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
 
 def count_data_points(panel: PanelData, through: str) -> int:
     """Present (asset, month) entries with month <= through."""
-    return sum(1 for (_, month) in panel.returns if month <= through)
+    return panel.entries_through(through)
 
 
 def partition_report(
@@ -254,12 +263,7 @@ def gen_momentum_panel(
 
     months = [f"{1980 + t // 12:04d}-{t % 12 + 1:02d}" for t in range(n_months)]
     assets = [f"S{i:04d}" for i in range(n_assets)]
-    data = {
-        (assets[i], months[t]): float(returns[i, t])
-        for i in range(n_assets)
-        for t in range(n_months)
-    }
-    panel = PanelData(assets=assets, months=months, returns=data)
+    panel = PanelData(assets=assets, months=months, returns=returns)
     if with_components:
         return panel, mu
     return panel

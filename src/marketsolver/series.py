@@ -11,12 +11,15 @@ flat case, so the sign function must be total; zero maps to bit 0.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import ItemsView, Mapping
+from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
 import numpy as np
@@ -28,6 +31,8 @@ DEFAULT_START_PRICE = 100.0
 MAX_CONTEXT_BITS = 63
 # Lines the bulk CSV parser splits at a time.
 PARSE_CHUNK_LINES = 4096
+# Dense panel cap: assets x months cells, 8 bytes per cell per array.
+MAX_PANEL_CELLS = 50_000_000
 
 
 def _float_vector(values: Iterable[float]) -> np.ndarray:
@@ -155,33 +160,152 @@ class Context:
         )
 
 
-@dataclass
-class PanelData:
-    """Partial (asset, month) -> return map over sorted month labels.
+class CellView(Mapping):
+    """Read-only (asset, month) -> value view of one dense panel array.
 
-    Missing cells are allowed. Month labels are ISO date strings compared
-    lexicographically. `prices` holds the optional price column for rows
-    that carried one; it may cover any subset of the return keys.
+    A NaN cell is a hole and has no key. Iteration runs asset by asset,
+    then month by month. The view reads the array it was made from, so it
+    costs no memory of its own.
     """
 
-    assets: list[str]
-    months: list[str]
-    returns: dict[tuple[str, str], float]
-    prices: dict[tuple[str, str], float] = field(default_factory=dict)
+    # The view keeps the panel's index maps and labels, not the panel
+    # itself: a panel -> view -> panel cycle would outlive its last
+    # reference until the cyclic garbage collector ran.
+    __slots__ = ("_grid", "_row", "_col", "_assets", "_months")
 
-    def __post_init__(self):
-        month_set = set(self.months)
-        asset_set = set(self.assets)
-        for asset, month in self.returns:
-            if asset not in asset_set:
-                raise ValueError(f"unknown asset {asset!r} in returns map")
-            if month not in month_set:
-                raise ValueError(f"unknown month {month!r} in returns map")
+    def __init__(self, grid: np.ndarray, row: dict, col: dict, assets: list, months: list):
+        self._grid, self._row, self._col = grid, row, col
+        self._assets, self._months = assets, months
+
+    def __getitem__(self, key) -> float:
+        try:
+            asset, month = key
+            value = float(self._grid[self._row[asset], self._col[month]])
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if math.isnan(value):
+            raise KeyError(key)
+        return value
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self._grid)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+    def items(self):
+        return _CellItems(self)
+
+
+class _CellItems(ItemsView):
+    """The (key, value) pairs of a CellView, read in one pass over its array."""
+
+    def __iter__(self):
+        view = self._mapping
+        rows, cols = np.nonzero(~np.isnan(view._grid))
+        values = view._grid[rows, cols].tolist()
+        for i, j, value in zip(rows.tolist(), cols.tolist(), values):
+            yield (view._assets[i], view._months[j]), value
+
+
+def _check_panel_size(n_assets: int, n_months: int) -> None:
+    cells = n_assets * n_months
+    if cells > MAX_PANEL_CELLS:
+        raise CapacityError(
+            f"a dense panel of {n_assets} assets x {n_months} months has {cells} "
+            f"cells, beyond the cap of {MAX_PANEL_CELLS} ({8 * cells} bytes per array)"
+        )
+
+
+class PanelData:
+    """Monthly returns of several assets, dense, with NaN holes.
+
+    `return_matrix` is an assets x months float64 array; a NaN cell is a
+    missing (asset, month) observation. `price_matrix` has the same shape
+    and holds the optional price column, or is None when no row carried a
+    price; a price needs a return in the same cell. Both arrays are
+    read-only and take 8 * assets * months bytes each, so the cell count
+    is capped at MAX_PANEL_CELLS. `returns` and `prices` are read-only
+    (asset, month) -> value mappings over them.
+
+    `returns` and `prices` may be given as such mappings or as arrays of
+    the panel's shape with NaN holes. Values must be finite, asset labels
+    distinct, and month labels (ISO date strings, compared
+    lexicographically) strictly increasing; ValueError otherwise.
+    """
+
+    def __init__(self, assets, months, returns, prices=None):
+        self.assets = list(assets)
+        self.months = list(months)
+        if len(set(self.assets)) != len(self.assets):
+            dup = next(a for a, n in Counter(self.assets).items() if n > 1)
+            raise ValueError(f"duplicate asset label {dup!r}")
         if not all(map(operator.lt, self.months, self.months[1:])):
             raise ValueError("months must be strictly increasing")
+        _check_panel_size(len(self.assets), len(self.months))
+        self._row = {a: i for i, a in enumerate(self.assets)}
+        self._col = {m: j for j, m in enumerate(self.months)}
+        self.return_matrix = self._grid(returns, "returns")
+        grid = None if prices is None else self._grid(prices, "prices")
+        if grid is not None:
+            priced = ~np.isnan(grid)
+            if (priced & np.isnan(self.return_matrix)).any():
+                raise ValueError("a price needs a return in the same cell")
+            if not priced.any():
+                grid = None
+        self.price_matrix = grid
+        # entries of months 0..j, for j = 0..months-1
+        self._entries_through = np.count_nonzero(~np.isnan(self.return_matrix), axis=0).cumsum()
+        index = (self._row, self._col, self.assets, self.months)
+        self.returns = CellView(self.return_matrix, *index)
+        if grid is None:  # an all-hole view that allocates nothing
+            grid = np.broadcast_to(np.nan, self.return_matrix.shape)
+        self.prices = CellView(grid, *index)
+
+    def _grid(self, values, what: str) -> np.ndarray:
+        """A private read-only assets x months copy of a mapping or an array."""
+        shape = (len(self.assets), len(self.months))
+        if isinstance(values, Mapping):
+            rows, cols = [], []
+            for asset, month in values:
+                if asset not in self._row:
+                    raise ValueError(f"unknown asset {asset!r} in {what} map")
+                if month not in self._col:
+                    raise ValueError(f"unknown month {month!r} in {what} map")
+                rows.append(self._row[asset])
+                cols.append(self._col[month])
+            cells = np.fromiter(values.values(), np.float64, len(values))
+            if not np.isfinite(cells).all():
+                raise ValueError(f"non-finite value in {what} map")
+            grid = np.full(shape, np.nan)
+            grid[rows, cols] = cells
+        else:
+            grid = np.array(values, dtype=np.float64)
+            if grid.shape != shape:
+                raise ValueError(f"{what} array has shape {grid.shape}, expected {shape}")
+            if np.isinf(grid).any():
+                raise ValueError(f"non-finite value in {what} array")
+        grid.setflags(write=False)
+        return grid
+
+    def __eq__(self, other):
+        if not isinstance(other, PanelData):
+            return NotImplemented
+        return (self.assets, self.months, self.returns, self.prices) == (
+            other.assets, other.months, other.returns, other.prices
+        )
 
     def n_entries(self) -> int:
-        return len(self.returns)
+        """Present (asset, month) cells."""
+        return int(self._entries_through[-1]) if self.months else 0
+
+    def entries_through(self, month: str) -> int:
+        """Present cells whose month label is <= `month`."""
+        j = bisect.bisect_right(self.months, month)
+        return int(self._entries_through[j - 1]) if j else 0
 
     def series_for(
         self,
@@ -201,24 +325,21 @@ class PanelData:
         """
         if synthesis not in ("compound", "shifted", "auto"):
             raise ValueError(f"unknown synthesis mode {synthesis!r}")
-        def keys(months):
-            return zip(itertools.repeat(asset), months)
-
-        present = list(map(self.returns.__contains__, keys(self.months)))
-        if True not in present:
+        row = self._row.get(asset)
+        present = [] if row is None else np.flatnonzero(~np.isnan(self.return_matrix[row]))
+        if not len(present):
             raise KeyError(f"asset {asset!r} has no observations")
-        lo = present.index(True)
-        hi = len(present) - present[::-1].index(True)
-        span = self.months[lo:hi]
-        if not all(present[lo:hi]):
-            missing = [m for m, p in zip(span, present[lo:hi]) if not p]
+        lo, hi = int(present[0]), int(present[-1]) + 1
+        rets = self.return_matrix[row, lo:hi]
+        if len(present) != hi - lo:
+            missing = [self.months[lo + j] for j in np.flatnonzero(np.isnan(rets)).tolist()]
             raise ValueError(
                 f"asset {asset!r} has holes at {missing}; cannot form a series"
             )
-        rets = np.fromiter(map(self.returns.__getitem__, keys(span)), np.float64, len(span))
-        if all(map(self.prices.__contains__, keys(span))):
-            prices = np.fromiter(map(self.prices.__getitem__, keys(span)), np.float64, len(span))
-            return PriceSeries(returns=rets, prices=prices)
+        if self.price_matrix is not None:
+            prices = self.price_matrix[row, lo:hi]
+            if not np.isnan(prices).any():
+                return PriceSeries(returns=rets, prices=prices)
         if synthesis == "auto":
             synthesis = "compound" if np.all(rets > -1.0) else "shifted"
         if synthesis == "shifted":
@@ -231,7 +352,8 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
 
     Rejects duplicate (asset, date) rows and non-finite numbers, and
     reports malformed rows with their 1-based line number. A header-only
-    input yields an empty panel.
+    input yields an empty panel. Assets and months are sorted; a panel
+    beyond MAX_PANEL_CELLS dense cells raises CapacityError.
     """
     if isinstance(stream, str):
         lines = stream.splitlines()
@@ -264,10 +386,11 @@ def _parse_plain_lines(lines: list[str], has_price_col: bool):
 
     Handles the common case (every line has the same field count, no
     blank fields, finite numbers, no duplicate keys) with no per-row
-    Python code. Otherwise it returns None and `_parse_rows` reads the
-    lines one by one, so it alone decides what to skip and which line to
-    blame. Lines are split, and removed from `lines`, a chunk at a time,
-    so neither all lines nor all number fields stay alive at once.
+    Python code, and scatters the numbers straight into the dense arrays.
+    Otherwise it returns None and `_parse_rows` reads the lines one by
+    one, so it alone decides what to skip and which line to blame. Lines
+    are split, and removed from `lines`, a chunk at a time, so neither
+    all lines nor all number fields stay alive at once.
     """
     widths = set(map(str.count, lines, itertools.repeat(",")))
     if len(widths) != 1:
@@ -293,19 +416,23 @@ def _parse_plain_lines(lines: list[str], has_price_col: bool):
             return None
     if "" in dates or "" in names:
         return None
-    keys = list(zip(names, dates))
-    returns = dict(zip(keys, rets))
-    prices = dict(zip(keys, levels))
-    if len(returns) != len(keys):
+    columns = [np.array(rets)] + ([np.array(levels)] if with_prices else [])
+    if not all(np.isfinite(col).all() for col in columns):
         return None
-    if not all(map(math.isfinite, itertools.chain(returns.values(), prices.values()))):
-        return None
-    return PanelData(
-        assets=sorted(dict.fromkeys(names)),
-        months=sorted(dict.fromkeys(dates)),
-        returns=returns,
-        prices=prices,
-    )
+    assets, months = sorted(set(names)), sorted(set(dates))
+    _check_panel_size(len(assets), len(months))
+    row = dict(zip(assets, itertools.count()))
+    col = dict(zip(months, itertools.count()))
+    cell = np.fromiter(map(row.__getitem__, names), np.intp, len(names)) * len(months)
+    cell += np.fromiter(map(col.__getitem__, dates), np.intp, len(dates))
+    grids = []
+    for values in columns:
+        grid = np.full(len(assets) * len(months), np.nan)
+        grid[cell] = values
+        grids.append(grid.reshape(len(assets), len(months)))
+    if np.count_nonzero(~np.isnan(grids[0])) != len(cell):
+        return None  # a duplicate (asset, date) key
+    return PanelData(assets, months, *grids)
 
 
 def _parse_number(line_no: int, field_name: str, text: str) -> float:

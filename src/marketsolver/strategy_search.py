@@ -11,16 +11,24 @@ Profit convention: the position selected after observing the context
 ending at period i is held during period i+1 and earns that period's raw
 return. Profits are additive in return units; no compounding.
 
-All three kernels read the context codes from `series.context_codes` and
-add floats in the same order as a plain loop over the periods would, so
-their results do not depend on how the work is blocked.
+All three kernels read the context codes from `series.context_codes`.
+`evaluate` adds floats in the same order as a plain loop over the periods
+would. The two searches decide by exact sums instead: a context counts
+as profitable exactly when the true sum of its subsequent returns is
+positive, tables are compared by their true profits, and the reported
+profit is the true profit of the chosen table, correctly rounded
+(Shewchuk's exact summation, as in `math.fsum`). So on finite returns
+the optimum and the exhaustive search pick the same table and report
+the same float.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import isfinite
 from typing import Iterator, Optional
 
@@ -124,7 +132,8 @@ class ContextBuckets:
     buckets: dict[int, list[float]] = field(default_factory=dict)
 
     def total(self, code: int) -> float:
-        return sum(self.buckets.get(code, ()))
+        """The bucket's sum, correctly rounded, so its sign is exact."""
+        return _rounded_sum(self.buckets.get(code, []))
 
     def count(self) -> int:
         return sum(len(v) for v in self.buckets.values())
@@ -160,6 +169,61 @@ class WorkCounter:
 def _tradable(series: PriceSeries, t: int) -> tuple[np.ndarray, np.ndarray]:
     """(context code, next return) for every period that follows a full window."""
     return context_codes(series.returns, t)[:-1], series.returns[t:]
+
+
+def _sum_error_bound(nxt: np.ndarray) -> float:
+    """Bound on the rounding error of any float sum over a subset of `nxt`.
+
+    A left-to-right float loop over n terms errs by at most
+    gamma_n * sum|x|, gamma_n = n*u / (1 - n*u) with u = 2^-53 (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, eq. 4.4). The
+    bound n * 2^-51 * sum|x| is at least twice that, which also covers the
+    rounding of sum|x| itself. It is inf or NaN for non-finite returns.
+    """
+    with np.errstate(over="ignore"):
+        return len(nxt) * 2.0**-51 * float(np.abs(nxt).sum())
+
+
+def _rounded_sum(values: list[float]) -> float:
+    """The true sum of `values`, correctly rounded; its sign is exact.
+
+    A true sum beyond the float range rounds to the infinity of its sign,
+    and non-finite values give what float addition would give.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:  # 2^-64 times the sum is in range and has its sign
+        return math.copysign(math.inf, math.fsum(math.ldexp(v, -64) for v in values))
+    except ValueError:  # inf + -inf
+        return math.nan
+
+
+def _exact_sum(values: list[float]) -> Fraction:
+    """The exact sum of finite floats.
+
+    Each pass takes the correctly rounded sum of what is left and moves it
+    out; the remainder shrinks by a factor of at least 2^52 per pass and
+    stays a multiple of 2^-1074, so it reaches exactly zero in a few.
+    """
+    total, rest = Fraction(0), list(values)
+    while part := math.fsum(rest):
+        total += Fraction(part)
+        rest.append(-part)
+    return total
+
+
+def _buckets(codes: np.ndarray, nxt: np.ndarray, wanted: np.ndarray) -> dict[int, list[float]]:
+    """The returns after each occurring context whose `wanted` flag is set."""
+    rows = np.flatnonzero(wanted[codes])
+    groups: dict[int, list[float]] = {}
+    for code, r in zip(codes[rows].tolist(), nxt[rows].tolist()):
+        groups.setdefault(code, []).append(r)
+    return groups
+
+
+def _held_returns(table: np.ndarray, codes: np.ndarray, nxt: np.ndarray) -> list[float]:
+    """The returns a long-or-out table earns, in time order."""
+    return nxt[table[codes] == LONG].tolist()
 
 
 def _table_profits(
@@ -263,9 +327,14 @@ def brute_force_best(
 ) -> tuple[TechnicalStrategy, float]:
     """Exhaustively evaluate every long-or-out table and keep the best.
 
-    Every table is scored over the full series by the profit kernel, in
-    ascending bitmask order; ties break to the lowest bitmask (the first
-    maximum). Cost is 2^(2^t) full-series evaluations.
+    Every table is scored over the full series by the float profit
+    kernel, in ascending bitmask order. Float profits can tie, or even
+    swap, tables whose true profits differ, so every table whose float
+    profit is within the rounding bound of the float maximum is compared
+    again by its exact profit; ties break to the lowest bitmask. The
+    profit returned is the chosen table's true profit, correctly rounded.
+    Cost is 2^(2^t) full-series evaluations. With non-finite returns the
+    float maximum is kept.
     """
     n = len(series)
     if t > n:
@@ -281,11 +350,38 @@ def brute_force_best(
         positions = ((masks >> bit) & 1).astype(np.float64)
         profits[first : first + len(masks)] = _table_profits(positions, codes, nxt)
     best = int(np.argmax(profits))
+    bound = _sum_error_bound(nxt)
+    if 0 < bound < math.inf and math.isfinite(profits[best]):
+        # The true best table's float profit is at least the float maximum
+        # minus two bounds; a third covers rounding the threshold itself.
+        near = np.flatnonzero(profits >= profits[best] - 3 * bound)
+        if len(near) > 1:
+            best = _exact_best(near, codes, nxt, n_contexts)
     if counter is not None:
         counter.strategies_evaluated += n_tables
-    table = tuple((best >> code) & 1 for code in range(n_contexts))
-    strategy = TechnicalStrategy(lookback=t, table=table, long_or_out=True)
-    return strategy, float(profits[best])
+    table = ((best >> np.arange(n_contexts)) & 1).tolist()
+    strategy = TechnicalStrategy(lookback=t, table=tuple(table), long_or_out=True)
+    return strategy, _rounded_sum(_held_returns(np.array(table), codes, nxt))
+
+
+def _exact_best(near: np.ndarray, codes: np.ndarray, nxt: np.ndarray, n_contexts: int) -> int:
+    """The lowest bitmask among `near` with the greatest exact profit.
+
+    Only the contexts on which the candidates differ decide, so only
+    their exact bucket sums are formed. A table holding a bucket whose
+    exact sum is zero ties with the same table without it, which has a
+    lower bitmask, so such tables are dropped first.
+    """
+    varying = int(np.bitwise_or.reduce(near ^ near[0]))
+    wanted = ((varying >> np.arange(n_contexts)) & 1).astype(bool)
+    exact = {code: _exact_sum(values) for code, values in _buckets(codes, nxt, wanted).items()}
+    # a varying context that never occurs has an empty, zero-sum bucket
+    zero = varying & ~sum(1 << code for code, total in exact.items() if total)
+    candidates = [mask for mask in near.tolist() if not mask & zero]
+    return max(
+        candidates,
+        key=lambda mask: (sum(v for code, v in exact.items() if mask >> code & 1), -mask),
+    )
 
 
 def bucket_contexts(series: PriceSeries, t: int) -> ContextBuckets:
@@ -315,12 +411,13 @@ def optimal_strategy(
 ) -> tuple[TechnicalStrategy, float]:
     """Best long-or-out table, in time proportional to n + 2^t.
 
-    Go long exactly the contexts whose subsequent returns sum positive; a
-    bucket sum of zero stays out (indifference with no transaction costs).
-    The profit is the sum of the positive bucket sums, which dominates
-    every long-or-out table's profit on this series. Bucket sums add in
-    time order and the profit adds them in order of each context's first
-    occurrence.
+    Go long exactly the contexts whose subsequent returns have a positive
+    true sum; a bucket that sums to exactly zero stays out (indifference
+    with no transaction costs). The profit, the true sum of the positive
+    buckets, dominates every long-or-out table's profit on this series;
+    it is returned correctly rounded. Float bucket sums decide every
+    bucket they decide safely, beyond the rounding bound from zero; the
+    rest are summed correctly rounded, whose sign is exact.
     """
     n = len(series)
     if t < 1:
@@ -330,18 +427,15 @@ def optimal_strategy(
             f"lookback {t} leaves no subsequent period in a series of length {n}"
         )
     codes, nxt = _tradable(series, t)
-    n_contexts = 1 << t
-    sums = np.bincount(codes, weights=nxt, minlength=n_contexts)
-    first_seen = np.full(n_contexts, len(codes))
-    np.minimum.at(first_seen, codes, np.arange(len(codes)))
-    seen = np.flatnonzero(first_seen < len(codes))
-    in_order = sums[seen[np.argsort(first_seen[seen])]]
-    gains = in_order[in_order > 0]
-    profit = float(np.cumsum(gains)[-1]) if len(gains) else 0.0
+    sums = np.bincount(codes, weights=nxt, minlength=1 << t)
+    unsure = ~(np.abs(sums) > _sum_error_bound(nxt))
+    for code, values in _buckets(codes, nxt, unsure).items():
+        sums[code] = _rounded_sum(values)
+    table = np.where(sums > 0, LONG, OUT)
+    profit = _rounded_sum(_held_returns(table, codes, nxt))
     if counter is not None:
         counter.periods_scanned += n
-    table = tuple(np.where(sums > 0, LONG, OUT).tolist())
-    strategy = TechnicalStrategy(lookback=t, table=table, long_or_out=True)
+    strategy = TechnicalStrategy(lookback=t, table=tuple(table.tolist()), long_or_out=True)
     return strategy, profit
 
 

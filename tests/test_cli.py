@@ -442,3 +442,39 @@ class TestHardening:
         assert len(calls) == 1
         result = json.loads(out)
         assert result["decision"] is (result["profit"] > 0.5)
+
+    def test_reduce_reduces_the_scenario_once(self, tmp_path, capsys, monkeypatch):
+        from marketsolver import knapsack_bridge
+
+        calls = []
+        real = knapsack_bridge._occurrence_ticks
+
+        def counted(sc):
+            calls.append(sc)
+            return real(sc)
+
+        monkeypatch.setattr(knapsack_bridge, "_occurrence_ticks", counted)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(TestKnapsackCommands.INSTANCE))
+        prefix = str(tmp_path / "scenario")
+        assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
+        code, out, _ = run_cli(
+            capsys, ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json"]
+        )
+        assert code == 0
+        assert json.loads(out)["decision"] is True
+        # one reduction, one independent replay of the witness
+        assert len(calls) == 2
+
+    def test_sparse_panel_is_a_domain_error(self, tmp_path, capsys, monkeypatch):
+        from marketsolver import series
+
+        # each row a new asset and a new month: 300 rows, 90,000 dense cells
+        monkeypatch.setattr(series, "MAX_PANEL_CELLS", 50_000)
+        rows = [f"{1000 + i // 12}-{i % 12 + 1:02d},A{i:04d},0.01" for i in range(300)]
+        path = tmp_path / "sparse.csv"
+        path.write_text("date,asset,return\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, ["momentum", "backtest", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "90000 cells" in err

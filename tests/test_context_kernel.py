@@ -1,12 +1,17 @@
-"""The array-backed context kernel against plain scalar loops.
+"""The array-backed context kernel against plain scalar references.
 
-The reference functions below are the scalar per-period loops that the
-vectorised kernels replaced. The vectorised versions must reproduce them
-bit for bit (tables, profits and the sign of a zero profit), not just
-approximately: they add the same floats in the same order.
+`ref_evaluate` is the scalar per-period loop that the vectorised profit
+kernel replaced; `evaluate` must reproduce it bit for bit, because it
+adds the same floats in the same order. The two searches follow the
+exact-sum rule instead, so their references sum in exact rational
+arithmetic (`Fraction`): the tables must be equal, and the profits must
+be the exact optimum correctly rounded, bit for bit (a zero profit is
++0.0).
 """
 
+import random
 import struct
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -49,37 +54,37 @@ def ref_context_stream(returns, t):
     return pairs
 
 
+def ref_bucket_totals(returns, t):
+    """Exact sum of the returns after each occurring context."""
+    totals = {}
+    for code, r in ref_context_stream(returns, t):
+        totals[code] = totals.get(code, Fraction(0)) + Fraction(r)
+    return totals
+
+
 def ref_brute_force_best(returns, t):
-    pairs = ref_context_stream(returns, t)
+    """Every table's exact profit; the first (lowest-mask) maximum wins."""
+    totals = ref_bucket_totals(returns, t)
     n_contexts = 1 << t
     best_table = None
     best_profit = None
     for mask in range(1 << n_contexts):
         table = tuple((mask >> code) & 1 for code in range(n_contexts))
-        profit = 0.0
-        for code, r in pairs:
-            profit += table[code] * r
+        profit = sum((s for c, s in totals.items() if table[c]), Fraction(0))
         if best_profit is None or profit > best_profit:
             best_profit = profit
             best_table = table
-    return best_table, best_profit
+    return best_table, float(best_profit)
 
 
 def ref_optimal_strategy(returns, t):
-    sums = {}
-    mask = (1 << t) - 1
-    code = 0
-    for i, r in enumerate(returns):
-        if i >= t:
-            sums[code] = sums.get(code, 0.0) + r
-        code = ((code << 1) | (1 if r > 0 else 0)) & mask
     table = [0] * (1 << t)
-    profit = 0.0
-    for c, s in sums.items():
+    profit = Fraction(0)
+    for c, s in ref_bucket_totals(returns, t).items():
         if s > 0:
             table[c] = 1
             profit += s
-    return tuple(table), profit
+    return tuple(table), float(profit)
 
 
 def bits(x):
@@ -180,6 +185,72 @@ class TestBitIdentity:
         assert bits(blocked[1]) == bits(whole[1])
         table, expected = ref_brute_force_best(srs.returns.tolist(), 3)
         assert whole[0].table == table and bits(whole[1]) == bits(expected)
+
+
+def q3_brute_returns(seed):
+    """The 4,500 returns that the `q3_csv` benchmark feeds `strategy brute`.
+
+    The workload draws 20,000 whole-cent moves for `strategy optimal` and
+    20,000 for `strategy decide` from random.Random(seed) before these.
+    """
+    rng = random.Random(seed)
+    for _ in range(40_000):
+        rng.randint(-5, 5)
+    return [rng.randint(-5, 5) / 100 for _ in range(4_500)]
+
+
+class TestExactOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.lists(st.sampled_from((-0.7, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.7)), max_size=40),
+    )
+    def test_decimal_returns_agree_exactly(self, t, returns):
+        # decimal steps whose sums are zero in decimal but not in binary,
+        # so float bucket sums land on either side of zero
+        returns = [0.1, 0.2, -0.3] + returns
+        srs = as_series(returns)
+        fast_strat, fast = optimal_strategy(srs, t)
+        brute_strat, brute = brute_force_best(srs, t)
+        assert fast_strat == brute_strat
+        assert bits(fast) == bits(brute)
+        table, expected = ref_optimal_strategy(returns, t)
+        assert fast_strat.table == table and bits(fast) == bits(expected)
+
+    # (seed, the exact optimum's table): seeds on which the float engines
+    # picked different tables
+    Q3_SEEDS = [
+        (26, (1, 1, 1, 1, 1, 1, 1, 0)),
+        (127, (0, 0, 0, 0, 1, 1, 1, 1)),
+        (1234, (1, 1, 0, 1, 1, 1, 1, 1)),
+    ]
+
+    def test_q3_csv_brute_series(self):
+        for seed, table in self.Q3_SEEDS:
+            returns = q3_brute_returns(seed)
+            srs = PriceSeries.from_returns(returns)
+            fast = optimal_strategy(srs, 3)
+            brute = brute_force_best(srs, 3)
+            ref_table, expected = ref_optimal_strategy(returns, 3)
+            assert fast[0].table == brute[0].table == ref_table == table
+            assert bits(fast[1]) == bits(brute[1]) == bits(expected)
+
+    def test_float_ties_and_swaps_are_broken_exactly(self):
+        # the float engines chose (0, 1) vs (1, 1) here, and (1, 1) vs
+        # (1, 0) at the same float profit 0.7 in the second series
+        for returns in ([-0.2, 0.1, 0.2, -0.1, -0.1], [0.7, 0.2, 0.1, -0.3, 0.7]):
+            table, expected = ref_optimal_strategy(returns, 1)
+            assert ref_brute_force_best(returns, 1) == (table, expected)
+            for engine in (optimal_strategy, brute_force_best):
+                strat, profit = engine(as_series(returns), 1)
+                assert strat.table == table
+                assert bits(profit) == bits(expected)
+
+    def test_overflow_rounds_to_infinity(self):
+        _, profit = optimal_strategy(as_series([1e308] * 5), 1)
+        assert profit == float("inf")
+        _, profit = brute_force_best(as_series([1e308] * 5), 1)
+        assert profit == float("inf")
 
 
 class TestWorkCounts:

@@ -1,11 +1,18 @@
+import gc
+import math
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from marketsolver import (
+    CapacityError,
     Context,
     DuplicateRowError,
     InvalidWindowError,
+    PanelData,
     PanelParseError,
     PriceSeries,
     directions,
@@ -283,3 +290,95 @@ class TestNonFiniteAndFastPath:
         )
         with pytest.raises(ValueError, match="holes at \\['2020-02'\\]"):
             panel.series_for("X")
+
+
+class TestDensePanel:
+    MONTHS = ["2020-01", "2020-02", "2020-03"]
+
+    def test_mapping_and_array_forms_agree(self):
+        grid = [[0.1, np.nan, 0.3], [np.nan, -0.2, 0.0]]
+        a = PanelData(["A", "B"], self.MONTHS, grid)
+        b = PanelData(
+            ["A", "B"],
+            self.MONTHS,
+            {("A", "2020-01"): 0.1, ("A", "2020-03"): 0.3, ("B", "2020-02"): -0.2,
+             ("B", "2020-03"): 0.0},
+        )
+        assert a == b
+        assert a.returns == b.returns
+        assert a.n_entries() == len(a.returns) == 4
+        assert ("A", "2020-02") not in a.returns
+        assert a.returns.get(("A", "2020-02")) is None
+        assert a.returns[("B", "2020-03")] == 0.0
+        assert list(a.returns) == [("A", "2020-01"), ("A", "2020-03"), ("B", "2020-02"),
+                                   ("B", "2020-03")]
+        assert a.price_matrix is None and len(a.prices) == 0
+        assert np.array_equal(a.return_matrix, np.array(grid), equal_nan=True)
+
+    def test_arrays_are_read_only_copies(self):
+        grid = np.zeros((1, 3))
+        panel = PanelData(["A"], self.MONTHS, grid)
+        grid[0, 0] = 9.0
+        assert panel.returns[("A", "2020-01")] == 0.0
+        assert not panel.return_matrix.flags.writeable
+        with pytest.raises(TypeError):
+            panel.returns[("A", "2020-01")] = 1.0
+
+    def test_freed_without_the_cycle_collector(self):
+        # a reference cycle through the views would keep every dropped
+        # panel's arrays alive until the cyclic collector ran
+        panel = PanelData(["A"], self.MONTHS, np.zeros((1, 3)), np.ones((1, 3)))
+        matrix = weakref.ref(panel.return_matrix)
+        gc.disable()
+        try:
+            del panel
+            assert matrix() is None
+        finally:
+            gc.enable()
+
+    def test_entries_through_is_a_running_count(self):
+        panel = PanelData(["A", "B"], self.MONTHS, [[1.0, np.nan, 1.0], [1.0, 1.0, np.nan]])
+        assert [panel.entries_through(m) for m in ["2019-12", *self.MONTHS, "2021"]] == [
+            0, 2, 3, 4, 4
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mapping_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PanelData(["A", "B"], ["2020-01"], {("A", "2020-01"): 0.1, ("B", "2020-01"): bad})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_array_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            PanelData(["A"], ["2020-01"], [[bad]])
+
+    def test_non_finite_price_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            PanelData(["A"], ["2020-01"], {("A", "2020-01"): 0.1}, {("A", "2020-01"): math.inf})
+
+    def test_price_without_a_return_rejected(self):
+        with pytest.raises(ValueError, match="needs a return"):
+            PanelData(["A"], self.MONTHS[:2], {("A", "2020-01"): 0.1}, {("A", "2020-02"): 5.0})
+
+    def test_duplicate_asset_rejected(self):
+        with pytest.raises(ValueError, match="duplicate asset label 'A'"):
+            PanelData(["A", "B", "A"], ["2020-01"], {("A", "2020-01"): 0.1})
+
+    def test_unknown_keys_and_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="unknown asset"):
+            PanelData(["A"], ["2020-01"], {("Z", "2020-01"): 0.1})
+        with pytest.raises(ValueError, match="unknown month"):
+            PanelData(["A"], ["2020-01"], {("A", "2020-02"): 0.1})
+        with pytest.raises(ValueError, match="shape"):
+            PanelData(["A"], ["2020-01"], [[0.1, 0.2]])
+
+    def test_sparse_csv_hits_the_cell_cap(self, monkeypatch):
+        from marketsolver import series
+
+        monkeypatch.setattr(series, "MAX_PANEL_CELLS", 10_000)
+        rows = [f"{1000 + i // 12}-{i % 12 + 1:02d},A{i:04d},0.01" for i in range(101)]
+        text = "date,asset,return\n" + "\n".join(rows) + "\n"
+        with pytest.raises(CapacityError, match="10201 cells"):
+            load_panel_csv(text)
+        with pytest.raises(CapacityError):  # the row-by-row parser too
+            load_panel_csv(text.replace(",A0000,", ',"A0000",'))
