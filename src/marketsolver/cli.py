@@ -166,19 +166,21 @@ def _cmd_knapsack(args) -> int:
 
 def _parse_witness(text: str, num_vars: int) -> dict[int, bool]:
     """A JSON object mapping variables 1..num_vars to true/false, nothing looser."""
-    raw = json.loads(text)
-    if not isinstance(raw, dict):
+    # objects decode to tuples of (key, value) pairs, so repeated keys stay visible
+    raw = json.loads(text, object_pairs_hook=tuple)
+    if not isinstance(raw, tuple):
         raise WitnessFormatError("witness must be a JSON object of variable numbers to booleans")
     witness = {}
-    for key, value in raw.items():
+    for key, value in raw:
         if not isinstance(value, bool):
             raise WitnessFormatError(f"witness value for {key!r} is {value!r}, not true or false")
-        try:
-            var = int(key)
-        except ValueError:
-            raise WitnessFormatError(f"witness key {key!r} is not a variable number") from None
+        if not key.isdecimal() or key != str(int(key)):
+            raise WitnessFormatError(f"witness key {key!r} is not a variable number")
+        var = int(key)
         if not 1 <= var <= num_vars:
             raise WitnessFormatError(f"witness key {key!r} names no variable in 1..{num_vars}")
+        if var in witness:
+            raise WitnessFormatError(f"witness names variable {var} twice")
         witness[var] = value
     return witness
 

@@ -24,6 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DegenerateSampleError, InsufficientDataError
 from .series import PanelData
 
+SHOCK_SCALE = 1.0
+NOISE_SCALE = 0.25
+
 
 @dataclass
 class MomentumConfig:
@@ -237,15 +240,14 @@ def gen_momentum_panel(
     n_months: int,
     persistence: float,
     seed: int,
-    shock_scale: float = 1.0,
-    noise_scale: float = 0.25,
     with_components: bool = False,
 ):
     """Synthetic panel whose expected returns follow an AR(1).
 
     Each asset's expected return mu obeys mu[t] = persistence * mu[t-1]
-    + shock, initialized at its stationary spread; the observed return
-    adds i.i.d. noise on top. persistence 0 gives a pure i.i.d. panel.
+    + shock (standard deviation SHOCK_SCALE), initialized at its
+    stationary spread; the observed return adds i.i.d. noise (standard
+    deviation NOISE_SCALE) on top. persistence 0 gives a pure i.i.d. panel.
     With with_components=True, also returns the expected-return matrix.
     """
     if not 0.0 <= persistence < 1.0:
@@ -253,13 +255,13 @@ def gen_momentum_panel(
     if n_assets < 1 or n_months < 1:
         raise ValueError("n_assets and n_months must be positive")
     rng = np.random.default_rng(seed)
-    stationary = shock_scale / math.sqrt(1.0 - persistence**2)
+    stationary = SHOCK_SCALE / math.sqrt(1.0 - persistence**2)
     mu = np.empty((n_assets, n_months))
     mu[:, 0] = rng.normal(0.0, stationary, n_assets)
-    shocks = rng.normal(0.0, shock_scale, (n_assets, n_months))
+    shocks = rng.normal(0.0, SHOCK_SCALE, (n_assets, n_months))
     for t in range(1, n_months):
         mu[:, t] = persistence * mu[:, t - 1] + shocks[:, t]
-    returns = mu + rng.normal(0.0, noise_scale, (n_assets, n_months))
+    returns = mu + rng.normal(0.0, NOISE_SCALE, (n_assets, n_months))
 
     months = [f"{1980 + t // 12:04d}-{t % 12 + 1:02d}" for t in range(n_months)]
     assets = [f"S{i:04d}" for i in range(n_assets)]

@@ -16,7 +16,6 @@ clause-level oracle it is checked against.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -191,9 +190,6 @@ class SatResult:
             "nodes": self.nodes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS cnf; every clause must have exactly three literals.
@@ -351,10 +347,11 @@ def market_decides_sat(
 ) -> SatResult:
     """Decide satisfiability by searching market tick paths.
 
-    Encodes the formula as OCO groups and explores per-security UP/DOWN
-    moves depth-first, lowest undecided security first, DOWN before UP.
-    Each group is compiled once into its distinct (security, fill
-    direction) options; a group listing both moves of one security fills
+    Explores per-security UP/DOWN moves depth-first, lowest undecided
+    security first, DOWN before UP. Each clause is compiled once into its
+    group's distinct (security, fill direction) options: a bare literal
+    rests a BUY, which fills on DOWN, and a negated one a SELL, which
+    fills on UP. A group listing both moves of one security fills
     whatever happens and is dropped. Every security keeps an occurrence
     list of the groups it appears in.
 
@@ -366,8 +363,9 @@ def market_decides_sat(
     single-option groups. Unit propagation reaches the same fixpoint, or
     a conflict, in any order, so the branch at every node, the node
     count and the witness equal those of a search that rescans every
-    group until nothing changes. A path that fills every group is
-    confirmed with apply_ticks and mapped back to a truth assignment.
+    group until nothing changes. Only a path that fills every group
+    builds the order book (encode_market): apply_ticks confirms it there
+    before it is mapped back to a truth assignment.
 
     The budget caps branch decisions; running out yields the
     BUDGET_EXHAUSTED status rather than an error.
@@ -376,23 +374,19 @@ def market_decides_sat(
         raise CapacityError(
             f"{f.num_vars} variables exceeds exhaustive-search limit {EXHAUSTIVE_VAR_LIMIT}"
         )
-    state = MarketState.default_for(f.num_vars)
-    groups = encode_market(f, state)
-    m = len(groups)
     # Securities of dropped groups are still branched on, as every
     # security that rests an order is.
-    securities = sorted({o.security for g in groups for o in g.orders})
+    securities = sorted(f.variables_in_use())
     # occurrences[s] lists the kept groups (their distinct options) that
     # security s appears in. Index 0 is no security: its list holds the
     # single-option groups, so visiting it forces them at the root.
     occurrences: list[list[tuple[tuple[int, TickDirection], ...]]] = [
         [] for _ in range(f.num_vars + 1)
     ]
-    for g in groups:
+    for clause in f.clauses:
         options = tuple(
             dict.fromkeys(
-                (o.security, TickDirection.DOWN if o.side is Side.BUY else TickDirection.UP)
-                for o in g.orders
+                (var, TickDirection.UP if neg else TickDirection.DOWN) for var, neg in clause
             )
         )
         if len({s for s, _ in options}) < len(options):
@@ -457,8 +451,9 @@ def market_decides_sat(
         v: TickDirection.UP if moves[v] is None else moves[v]
         for v in range(1, f.num_vars + 1)
     }
-    report = apply_ticks(state, groups, ticks)
-    if report.groups_filled != m:
+    state = MarketState.default_for(f.num_vars)
+    report = apply_ticks(state, encode_market(f, state), ticks)
+    if report.groups_filled != len(f.clauses):
         raise AssertionError("search accepted a tick path that does not fill every group")
     witness = ticks_to_assignment(ticks)
     return SatResult(status="SAT", witness=witness, nodes=nodes)

@@ -11,15 +11,13 @@ Profit convention: the position selected after observing the context
 ending at period i is held during period i+1 and earns that period's raw
 return. Profits are additive in return units; no compounding.
 
-All three kernels read the context codes from `series.context_codes`.
-`evaluate` adds floats in the same order as a plain loop over the periods
-would. The two searches decide by exact sums instead: a context counts
-as profitable exactly when the true sum of its subsequent returns is
-positive, tables are compared by their true profits, and the reported
-profit is the true profit of the chosen table, correctly rounded
-(Shewchuk's exact summation, as in `math.fsum`). So on finite returns
-the optimum and the exhaustive search pick the same table and report
-the same float.
+All three kernels read the context codes from `series.context_codes`
+and follow one exact rule: a profit is the true sum of position x return
+over the periods held, correctly rounded (Shewchuk's exact summation, as
+in `math.fsum`), and the searches compare tables by their true profits.
+So on finite returns the optimum, the exhaustive search and `evaluate`
+of either's table agree on the same float, and no long-or-out table
+evaluates above the optimum.
 """
 
 from __future__ import annotations
@@ -212,18 +210,23 @@ def _exact_sum(values: list[float]) -> Fraction:
     return total
 
 
-def _buckets(codes: np.ndarray, nxt: np.ndarray, wanted: np.ndarray) -> dict[int, list[float]]:
-    """The returns after each occurring context whose `wanted` flag is set."""
-    rows = np.flatnonzero(wanted[codes])
+def _buckets(codes: np.ndarray, nxt: np.ndarray) -> dict[int, list[float]]:
+    """The returns after each occurring context, in order of occurrence."""
     groups: dict[int, list[float]] = {}
-    for code, r in zip(codes[rows].tolist(), nxt[rows].tolist()):
+    for code, r in zip(codes.tolist(), nxt.tolist()):
         groups.setdefault(code, []).append(r)
     return groups
 
 
-def _held_returns(table: np.ndarray, codes: np.ndarray, nxt: np.ndarray) -> list[float]:
-    """The returns a long-or-out table earns, in time order."""
-    return nxt[table[codes] == LONG].tolist()
+def _profit(table: np.ndarray, codes: np.ndarray, nxt: np.ndarray) -> float:
+    """A position table's true profit, correctly rounded.
+
+    The sum of position * return over the periods with a nonzero
+    position; each product is exact, as positions are -1 or +1.
+    """
+    held = table[codes]
+    rows = held != OUT
+    return _rounded_sum((held[rows] * nxt[rows]).tolist())
 
 
 def _table_profits(
@@ -232,14 +235,11 @@ def _table_profits(
     """Profit of each table column in `positions` (contexts x tables).
 
     Each profit is 0.0 plus position * return over the periods in time
-    order, exactly as a scalar loop adds them.
+    order, exactly as a scalar loop adds them, given at least two tables.
     """
     # Summing axis 0 of a C-order (periods x tables) block adds row by row,
     # in time order; numpy would sum a one-column block as a 1-D array
-    # (pairwise), so a single table gets a zero column beside it.
-    n_tables = positions.shape[1]
-    if n_tables == 1:
-        positions = np.hstack([positions, np.zeros_like(positions)])
+    # (pairwise).
     width = positions.shape[1]
     rows = max(1, PROFIT_BLOCK_BYTES // (8 * width))
     block = np.empty((rows + 1, width))
@@ -251,7 +251,7 @@ def _table_profits(
         np.take(positions, codes[start : start + k], axis=0, out=gathered, mode="clip")
         gathered *= nxt[start : start + k, None]
         acc = block[: k + 1].sum(axis=0)
-    return acc[:n_tables]
+    return acc
 
 
 def evaluate(
@@ -262,15 +262,15 @@ def evaluate(
     """Profit of one strategy on one series, in a single linear pass.
 
     Scans each of the n periods exactly once: the period both closes the
-    rolling context and pays the previously selected position.
+    rolling context and pays the previously selected position. The
+    profit is the true sum, correctly rounded, as the searches report it.
     """
     t = strategy.lookback
     n = len(series)
     if t > n:
         raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
     codes, nxt = _tradable(series, t)
-    positions = np.array(strategy.table, dtype=np.float64)[:, None]
-    profit = float(_table_profits(positions, codes, nxt)[0])
+    profit = _profit(np.array(strategy.table), codes, nxt)
     if counter is not None:
         counter.periods_scanned += n
         counter.strategies_evaluated += 1
@@ -288,6 +288,16 @@ def best_position_sequence(series: PriceSeries) -> tuple[PositionSequence, float
     positions = tuple(LONG if r > 0 else (SHORT if r < 0 else OUT) for r in returns)
     profit = sum(abs(r) for r in returns)
     return PositionSequence(positions=positions), profit
+
+
+def _check_window(series: PriceSeries, t: int) -> None:
+    """A lookback of at least 1 that leaves a subsequent period to trade."""
+    if t < 1:
+        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
+    if t >= len(series):
+        raise InvalidWindowError(
+            f"lookback {t} leaves no subsequent period in a series of length {len(series)}"
+        )
 
 
 def _check_enumerable(t: int) -> None:
@@ -361,7 +371,7 @@ def brute_force_best(
         counter.strategies_evaluated += n_tables
     table = ((best >> np.arange(n_contexts)) & 1).tolist()
     strategy = TechnicalStrategy(lookback=t, table=tuple(table), long_or_out=True)
-    return strategy, _rounded_sum(_held_returns(np.array(table), codes, nxt))
+    return strategy, _profit(np.array(table), codes, nxt)
 
 
 def _exact_best(near: np.ndarray, codes: np.ndarray, nxt: np.ndarray, n_contexts: int) -> int:
@@ -374,7 +384,8 @@ def _exact_best(near: np.ndarray, codes: np.ndarray, nxt: np.ndarray, n_contexts
     """
     varying = int(np.bitwise_or.reduce(near ^ near[0]))
     wanted = ((varying >> np.arange(n_contexts)) & 1).astype(bool)
-    exact = {code: _exact_sum(values) for code, values in _buckets(codes, nxt, wanted).items()}
+    rows = wanted[codes]
+    exact = {code: _exact_sum(values) for code, values in _buckets(codes[rows], nxt[rows]).items()}
     # a varying context that never occurs has an empty, zero-sum bucket
     zero = varying & ~sum(1 << code for code, total in exact.items() if total)
     candidates = [mask for mask in near.tolist() if not mask & zero]
@@ -390,18 +401,8 @@ def bucket_contexts(series: PriceSeries, t: int) -> ContextBuckets:
     Only contexts followed by at least one more period are bucketed, so
     the bucketed return count is exactly n - t.
     """
-    n = len(series)
-    if t < 1:
-        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
-    if t >= n:
-        raise InvalidWindowError(
-            f"lookback {t} leaves no subsequent period in a series of length {n}"
-        )
-    buckets: dict[int, list[float]] = {}
-    codes, nxt = _tradable(series, t)
-    for code, r in zip(codes.tolist(), nxt.tolist()):
-        buckets.setdefault(code, []).append(r)
-    return ContextBuckets(lookback=t, buckets=buckets)
+    _check_window(series, t)
+    return ContextBuckets(lookback=t, buckets=_buckets(*_tradable(series, t)))
 
 
 def optimal_strategy(
@@ -419,22 +420,16 @@ def optimal_strategy(
     bucket they decide safely, beyond the rounding bound from zero; the
     rest are summed correctly rounded, whose sign is exact.
     """
-    n = len(series)
-    if t < 1:
-        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
-    if t >= n:
-        raise InvalidWindowError(
-            f"lookback {t} leaves no subsequent period in a series of length {n}"
-        )
+    _check_window(series, t)
     codes, nxt = _tradable(series, t)
     sums = np.bincount(codes, weights=nxt, minlength=1 << t)
-    unsure = ~(np.abs(sums) > _sum_error_bound(nxt))
-    for code, values in _buckets(codes, nxt, unsure).items():
+    rows = ~(np.abs(sums) > _sum_error_bound(nxt))[codes]
+    for code, values in _buckets(codes[rows], nxt[rows]).items():
         sums[code] = _rounded_sum(values)
     table = np.where(sums > 0, LONG, OUT)
-    profit = _rounded_sum(_held_returns(table, codes, nxt))
+    profit = _profit(table, codes, nxt)
     if counter is not None:
-        counter.periods_scanned += n
+        counter.periods_scanned += len(series)
     strategy = TechnicalStrategy(lookback=t, table=tuple(table.tolist()), long_or_out=True)
     return strategy, profit
 

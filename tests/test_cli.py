@@ -236,6 +236,10 @@ class TestSatCommands:
             {"1": False, "2": False, "3": False, "7": True},
             {"1": False, "2": False, "3": False, "-4": True},
             {"0": True, "1": False, "2": False, "3": False},
+            {"1": False, " 1": True, "2": False, "3": False},
+            {"1_0": True, "1": False, "2": False, "3": False},
+            {"01": True, "2": False, "3": False},
+            {"+1": True, "2": False, "3": False},
         ],
     )
     def test_malformed_witness_is_a_domain_error(self, tmp_path, capsys, witness):
@@ -250,6 +254,19 @@ class TestSatCommands:
         assert code == 1
         assert out == ""
         assert "witness" in err and "Traceback" not in err
+
+    def test_repeated_witness_key_is_a_domain_error(self, tmp_path, capsys):
+        # json.loads keeps the last value of a repeated key
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        path = tmp_path / "w.json"
+        path.write_text('{"1": false, "2": false, "3": false, "1": true}')
+        code, out, err = run_cli(
+            capsys, ["sat", "verify", str(cnf), "--witness", str(path)]
+        )
+        assert code == 1
+        assert out == ""
+        assert "twice" in err and "Traceback" not in err
 
     def test_header_without_variables_is_a_domain_error(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"

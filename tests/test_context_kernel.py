@@ -1,12 +1,11 @@
 """The array-backed context kernel against plain scalar references.
 
-`ref_evaluate` is the scalar per-period loop that the vectorised profit
-kernel replaced; `evaluate` must reproduce it bit for bit, because it
-adds the same floats in the same order. The two searches follow the
-exact-sum rule instead, so their references sum in exact rational
-arithmetic (`Fraction`): the tables must be equal, and the profits must
-be the exact optimum correctly rounded, bit for bit (a zero profit is
-+0.0).
+All three kernels follow the exact-sum rule, so their references sum in
+exact rational arithmetic (`Fraction`): the tables must be equal, and
+the profits must be the exact sums correctly rounded, bit for bit (a
+zero profit is +0.0). `ref_evaluate` is the scalar per-period float loop
+that `evaluate` used to be; the exact profit must stay within that
+loop's rounding bound of it.
 """
 
 import random
@@ -22,6 +21,7 @@ from marketsolver import (
     TechnicalStrategy,
     WorkCounter,
     brute_force_best,
+    enumerate_long_or_out,
     evaluate,
     gen_random_walk,
     optimal_strategy,
@@ -41,6 +41,11 @@ def ref_evaluate(table, returns, t):
             profit += table[code] * r
         code = ((code << 1) | (1 if r > 0 else 0)) & mask
     return profit
+
+
+def ref_exact_evaluate(table, returns, t):
+    profit = sum((table[c] * Fraction(r) for c, r in ref_context_stream(returns, t)), Fraction(0))
+    return float(profit)
 
 
 def ref_context_stream(returns, t):
@@ -161,7 +166,9 @@ class TestBitIdentity:
         strat = TechnicalStrategy(lookback=t, table=table)
         profit = evaluate(strat, as_series(returns))
         assert type(profit) is float
-        assert bits(profit) == bits(ref_evaluate(table, returns, t))
+        assert bits(profit) == bits(ref_exact_evaluate(table, returns, t))
+        bound = len(returns) * 2.0**-51 * sum(abs(r) for r in returns[t:])
+        assert abs(profit - ref_evaluate(table, returns, t)) <= bound
 
     def test_all_losses_keep_a_positive_zero(self):
         # every tradable period loses, so the all-out table wins with 0.0
@@ -234,6 +241,23 @@ class TestExactOracle:
             ref_table, expected = ref_optimal_strategy(returns, 3)
             assert fast[0].table == brute[0].table == ref_table == table
             assert bits(fast[1]) == bits(brute[1]) == bits(expected)
+
+    def test_evaluate_of_the_optimum_is_its_profit(self):
+        # the float loop read above the optimum on 15 of these 30 seeds
+        for seed in range(30):
+            srs = PriceSeries.from_returns(q3_brute_returns(seed))
+            strat, profit = optimal_strategy(srs, 3)
+            assert bits(evaluate(strat, srs)) == bits(profit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.lists(st.sampled_from((-0.7, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.7)), max_size=40),
+    )
+    def test_no_table_evaluates_above_the_optimum(self, t, returns):
+        srs = as_series([0.1, 0.2, -0.3] + returns)
+        _, best = optimal_strategy(srs, t)
+        assert all(evaluate(strat, srs) <= best for strat in enumerate_long_or_out(t))
 
     def test_float_ties_and_swaps_are_broken_exactly(self):
         # the float engines chose (0, 1) vs (1, 1) here, and (1, 1) vs

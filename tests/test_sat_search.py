@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import marketsolver.sat_market as sat_market
 from marketsolver import (
     CnfFormula,
     MarketState,
@@ -201,3 +202,34 @@ class TestSameSearchAsFullRescan:
             clauses=(((2, False),) * 3, ((1, False), (2, True), (1, False)), ((1, True),) * 3),
         )
         assert outcome(market_decides_sat(f)) == ("UNSAT", None, 0)
+
+
+class TestOrderBookOnlyForTheRecheck:
+    UNSAT = CnfFormula(num_vars=1, clauses=(((1, False),) * 3, ((1, True),) * 3))
+    SAT = CnfFormula(num_vars=2, clauses=(((1, False), (2, True), (2, True)),))
+
+    def test_unsat_builds_no_book_and_sat_builds_one(self, monkeypatch):
+        calls = []
+        real = sat_market.encode_market
+
+        def counting(f, state):
+            calls.append(f)
+            return real(f, state)
+
+        monkeypatch.setattr(sat_market, "encode_market", counting)
+        assert market_decides_sat(self.UNSAT).status == "UNSAT"
+        assert calls == []
+        assert market_decides_sat(self.SAT).status == "SAT"
+        assert calls == [self.SAT]
+
+    def test_recheck_rejects_a_path_one_group_short(self, monkeypatch):
+        real = sat_market.apply_ticks
+
+        def one_short(state, groups, ticks):
+            report = real(state, groups, ticks)
+            report.groups_filled -= 1
+            return report
+
+        monkeypatch.setattr(sat_market, "apply_ticks", one_short)
+        with pytest.raises(AssertionError):
+            market_decides_sat(self.SAT)
