@@ -18,7 +18,6 @@ from .errors import (
 )
 from .series import (
     Context,
-    DirectionVector,
     PanelData,
     PriceSeries,
     directions,
@@ -28,9 +27,7 @@ from .series import (
     sliding_contexts,
 )
 from .strategy_search import (
-    ContextBuckets,
     CriticalValue,
-    PositionSequence,
     TechnicalStrategy,
     WorkCounter,
     best_position_sequence,

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from . import knapsack_bridge, momentum, sat_market, series, strategy_search
@@ -131,9 +131,9 @@ def _cmd_knapsack(args) -> int:
         sidecar = json.loads(_read_text(args.sidecar))
         sc = knapsack_bridge.read_scenario_csv(_read_text(args.file), sidecar)
         if args.strict:
-            sc.target += 1
+            sc = replace(sc, target=sc.target + 1)
         inst, mapping = knapsack_bridge.scenario_to_knapsack(sc)
-        decision, witness = knapsack_bridge.decide_q4(sc, reduced=(inst, mapping))
+        decision, witness = knapsack_bridge.decide_q4(sc)
         _emit(
             {
                 "instance": json.loads(inst.to_json()),

@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import CapacityError, InstanceFormatError, QuantizationError
-from .series import PriceSeries, context_codes
-from .strategy_search import LONG, OUT, TechnicalStrategy
+from .series import PriceSeries
+from .strategy_search import LONG, OUT, TechnicalStrategy, _tradable
 
 MAX_BRUTE_ITEMS = 25
 MAX_DP_CELLS = 50_000_000
@@ -94,23 +94,32 @@ class KnapsackSolution:
     total_value: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiAssetScenario:
     """Several equal-length price series plus budget and profit targets.
 
     budget and target are integers in tick units; every price and return
-    in every series must be an exact multiple of the tick.
+    in every series must be an exact multiple of the tick, and the
+    lookback must leave a period to hold (1 <= lookback < length).
+
+    The scenario is read as its context occurrences, over all assets in
+    order: an occurrence is a context window followed by one more period.
+    `codes` holds each occurrence's context code, `sizes` the price level
+    at the window's end and `values` the next period's return, both in
+    ticks. All three are read-only arrays, quantised once, here.
     """
 
-    assets: list[PriceSeries]
+    assets: tuple[PriceSeries, ...]
     lookback: int
     budget: int
     target: int
     tick: float = 1.0
+    codes: np.ndarray = field(init=False, compare=False, repr=False)
+    sizes: np.ndarray = field(init=False, compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.lookback < 1:
-            raise ValueError("lookback must be a positive integer")
+        object.__setattr__(self, "assets", tuple(self.assets))
         if self.budget < 1 or self.target < 1:
             raise ValueError("budget and target must be positive integers")
         if not 0 < self.tick < math.inf:
@@ -120,14 +129,18 @@ class MultiAssetScenario:
         lengths = {len(a) for a in self.assets}
         if len(lengths) != 1:
             raise ValueError(f"asset series must share one length, got {sorted(lengths)}")
-        n = lengths.pop()
-        if n < self.lookback + 1:
-            raise ValueError(
-                f"series length {n} too short for lookback {self.lookback} plus one holding period"
-            )
+        t, n = self.lookback, lengths.pop()
+        codes, sizes, values = [], [], []
         for a in self.assets:
+            codes.append(_tradable(a, t)[0])
             # raises QuantizationError on the first misfit
-            ticks_array(np.concatenate([a.prices, a.returns]), self.tick)
+            ticks = ticks_array(np.concatenate([a.prices, a.returns]), self.tick)
+            sizes.append(ticks[t - 1 : n - 1])
+            values.append(ticks[n + t :])
+        for name, parts in (("codes", codes), ("sizes", sizes), ("values", values)):
+            column = np.concatenate(parts)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 def ticks_array(values, tick: float) -> np.ndarray:
@@ -258,25 +271,11 @@ def decide_knapsack(inst: KnapsackInstance) -> bool:
     return solve_dp(inst).total_value >= inst.target
 
 
-def _occurrence_ticks(sc: MultiAssetScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every context occurrence over all assets: (codes, sizes, values).
-
-    An occurrence is a context window followed by at least one more period;
-    its size is the price level at the window's end, its value the next
-    period's return, both in ticks. Raises QuantizationError if a total
-    of either could leave the int64 range, so every sum of them is exact.
-    """
-    t = sc.lookback
-    codes, sizes, values = [], [], []
-    for series in sc.assets:
-        codes.append(context_codes(series.returns, t)[:-1])
-        sizes.append(ticks_array(series.prices[t - 1 : -1], sc.tick))
-        values.append(ticks_array(series.returns[t:], sc.tick))
-    codes, sizes, values = (np.concatenate(x) for x in (codes, sizes, values))
-    for ticks in (sizes, values):
+def _check_tick_totals(sc: MultiAssetScenario) -> None:
+    """Refuse tick totals that could leave the int64 range, so every sum is exact."""
+    for ticks in (sc.sizes, sc.values):
         if np.abs(ticks.astype(np.float64)).sum() >= 2.0**62:
             raise QuantizationError("tick totals exceed the exact int64 range")
-    return codes, sizes, values
 
 
 def _aggregate_contexts(sc: MultiAssetScenario) -> dict[int, tuple[int, int]]:
@@ -286,12 +285,12 @@ def _aggregate_contexts(sc: MultiAssetScenario) -> dict[int, tuple[int, int]]:
     across assets because one strategy must treat the same pattern
     identically everywhere.
     """
-    codes, sizes, values = _occurrence_ticks(sc)
-    present, item = np.unique(codes, return_inverse=True)
+    _check_tick_totals(sc)
+    present, item = np.unique(sc.codes, return_inverse=True)
     size = np.zeros(len(present), dtype=np.int64)
     value = np.zeros(len(present), dtype=np.int64)
-    np.add.at(size, item, sizes)
-    np.add.at(value, item, values)
+    np.add.at(size, item, sc.sizes)
+    np.add.at(value, item, sc.values)
     return dict(zip(present.tolist(), zip(size.tolist(), value.tolist())))
 
 
@@ -349,20 +348,15 @@ def knapsack_to_scenario(
     )
 
 
-def decide_q4(
-    sc: MultiAssetScenario,
-    reduced: Optional[tuple[KnapsackInstance, dict[int, int]]] = None,
-) -> tuple[bool, Optional[TechnicalStrategy]]:
+def decide_q4(sc: MultiAssetScenario) -> tuple[bool, Optional[TechnicalStrategy]]:
     """Budget-constrained strategy decision via the knapsack reduction.
 
     Reduces, solves by DP, and converts the chosen items back to a
     long-or-out table. A YES answer is re-verified directly against the
     scenario: the witness's realized profit must reach the target and its
-    summed entry prices must fit the budget, both in tick units. A caller
-    that already holds `scenario_to_knapsack(sc)` passes it as `reduced`,
-    so the scenario is not reduced twice.
+    summed entry prices must fit the budget, both in tick units.
     """
-    inst, mapping = scenario_to_knapsack(sc) if reduced is None else reduced
+    inst, mapping = scenario_to_knapsack(sc)
     if not inst.items:
         return False, None
     sol = solve_dp(inst)
@@ -394,9 +388,9 @@ def realized_profit_and_cost(
     """
     if strategy.lookback != sc.lookback:
         raise ValueError("strategy lookback does not match scenario lookback")
-    codes, sizes, values = _occurrence_ticks(sc)
-    held = np.asarray(strategy.table)[codes] == LONG
-    return int(values[held].sum()), int(sizes[held].sum())
+    _check_tick_totals(sc)
+    held = np.asarray(strategy.table)[sc.codes] == LONG
+    return int(sc.values[held].sum()), int(sc.sizes[held].sum())
 
 
 def write_scenario_csv(sc: MultiAssetScenario) -> tuple[str, dict]:

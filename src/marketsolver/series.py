@@ -121,20 +121,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class DirectionVector:
-    """One UP(1)/DOWN(0) bit per period."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("direction bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
 class Context:
     """A t-period direction pattern packed into an integer.
 
@@ -501,9 +487,9 @@ def context_codes(returns: Iterable[float], t: int) -> np.ndarray:
     return codes
 
 
-def directions(series: PriceSeries) -> DirectionVector:
-    """Map returns to direction bits: 1 iff strictly positive, else 0."""
-    return DirectionVector(bits=tuple(context_codes(series.returns, 1).tolist()))
+def directions(series: PriceSeries) -> np.ndarray:
+    """One direction bit per period, as an int64 array: 1 iff the return is positive."""
+    return context_codes(series.returns, 1)
 
 
 def sliding_contexts(series: PriceSeries, t: int) -> list[tuple[int, Context]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from typing import Iterator, Optional
@@ -39,6 +39,9 @@ from .series import PriceSeries, context_codes
 # desk scale; anything above these limits raises CapacityError.
 MAX_BRUTE_LOOKBACK = 4
 MAX_SEQUENCE_LENGTH = 12
+# `optimal_strategy` sums every one of the 2^t contexts; beyond this many
+# bits that table no longer fits in desk memory.
+MAX_TABLE_BITS = 24
 
 # The profit kernel works on (periods x tables) float64 blocks of at most
 # this many bytes, over at most this many tables at a time.
@@ -95,46 +98,30 @@ class TechnicalStrategy:
 
     @classmethod
     def from_json(cls, text: str) -> "TechnicalStrategy":
+        """Parse the to_json format; nothing is coerced.
+
+        lookback must be a JSON integer, table a list of JSON integers and
+        long_or_out a JSON boolean; anything else raises ValueError naming
+        the field.
+        """
         obj = json.loads(text)
-        return cls(
-            lookback=int(obj["lookback"]),
-            table=tuple(int(p) for p in obj["table"]),
-            long_or_out=bool(obj["long_or_out"]),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("strategy must be a JSON object")
+        lookback, table = obj.get("lookback"), obj.get("table")
+        long_or_out = obj.get("long_or_out")
+        if not _is_json_int(lookback):
+            raise ValueError(f"field 'lookback' must be a JSON integer, got {json.dumps(lookback)}")
+        if not isinstance(table, list) or not all(map(_is_json_int, table)):
+            raise ValueError("field 'table' must be a list of JSON integers")
+        if not isinstance(long_or_out, bool):
+            raise ValueError(
+                f"field 'long_or_out' must be a JSON boolean, got {json.dumps(long_or_out)}"
+            )
+        return cls(lookback=lookback, table=tuple(table), long_or_out=long_or_out)
 
 
-@dataclass(frozen=True)
-class PositionSequence:
-    """An arbitrary per-period position path, one entry per period."""
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(p not in (SHORT, OUT, LONG) for p in self.positions):
-            raise ValueError("positions must be in {-1, 0, +1}")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-@dataclass
-class ContextBuckets:
-    """Subsequent returns gathered per context code.
-
-    buckets[code] lists, in order of occurrence, the return of the period
-    immediately after each occurrence of that context. The final context
-    of a series has no subsequent return, so the bucketed total is n - t.
-    """
-
-    lookback: int
-    buckets: dict[int, list[float]] = field(default_factory=dict)
-
-    def total(self, code: int) -> float:
-        """The bucket's sum, correctly rounded, so its sign is exact."""
-        return _rounded_sum(self.buckets.get(code, []))
-
-    def count(self) -> int:
-        return sum(len(v) for v in self.buckets.values())
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,18 @@ class WorkCounter:
 
 
 def _tradable(series: PriceSeries, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(context code, next return) for every period that follows a full window."""
+    """(context code, next return) for every period that follows a full window.
+
+    This is the one window rule: a lookback t needs 1 <= t < len(series),
+    so that at least one period follows a full window; anything else
+    raises InvalidWindowError.
+    """
+    if t < 1:
+        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
+    if t >= len(series):
+        raise InvalidWindowError(
+            f"lookback {t} leaves no subsequent period in a series of length {len(series)}"
+        )
     return context_codes(series.returns, t)[:-1], series.returns[t:]
 
 
@@ -265,19 +263,15 @@ def evaluate(
     rolling context and pays the previously selected position. The
     profit is the true sum, correctly rounded, as the searches report it.
     """
-    t = strategy.lookback
-    n = len(series)
-    if t > n:
-        raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
-    codes, nxt = _tradable(series, t)
+    codes, nxt = _tradable(series, strategy.lookback)
     profit = _profit(np.array(strategy.table), codes, nxt)
     if counter is not None:
-        counter.periods_scanned += n
+        counter.periods_scanned += len(series)
         counter.strategies_evaluated += 1
     return profit
 
 
-def best_position_sequence(series: PriceSeries) -> tuple[PositionSequence, float]:
+def best_position_sequence(series: PriceSeries) -> tuple[tuple[int, ...], float]:
     """The unconstrained optimum: long every up period, short every down one.
 
     Not a bona fide strategy (it is a hindsight position path, not a
@@ -287,17 +281,7 @@ def best_position_sequence(series: PriceSeries) -> tuple[PositionSequence, float
     returns = series.returns.tolist()
     positions = tuple(LONG if r > 0 else (SHORT if r < 0 else OUT) for r in returns)
     profit = sum(abs(r) for r in returns)
-    return PositionSequence(positions=positions), profit
-
-
-def _check_window(series: PriceSeries, t: int) -> None:
-    """A lookback of at least 1 that leaves a subsequent period to trade."""
-    if t < 1:
-        raise InvalidWindowError(f"lookback must be >= 1, got {t}")
-    if t >= len(series):
-        raise InvalidWindowError(
-            f"lookback {t} leaves no subsequent period in a series of length {len(series)}"
-        )
+    return positions, profit
 
 
 def _check_enumerable(t: int) -> None:
@@ -318,7 +302,7 @@ def enumerate_long_or_out(t: int) -> Iterator[TechnicalStrategy]:
         yield TechnicalStrategy(lookback=t, table=table, long_or_out=True)
 
 
-def enumerate_position_sequences(n: int) -> Iterator[PositionSequence]:
+def enumerate_position_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield all 3^n position paths of length n."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
@@ -326,8 +310,7 @@ def enumerate_position_sequences(n: int) -> Iterator[PositionSequence]:
         raise CapacityError(
             f"length {n} exceeds enumeration guard {MAX_SEQUENCE_LENGTH}"
         )
-    for combo in itertools.product((SHORT, OUT, LONG), repeat=n):
-        yield PositionSequence(positions=combo)
+    yield from itertools.product((SHORT, OUT, LONG), repeat=n)
 
 
 def brute_force_best(
@@ -346,11 +329,8 @@ def brute_force_best(
     Cost is 2^(2^t) full-series evaluations. With non-finite returns the
     float maximum is kept.
     """
-    n = len(series)
-    if t > n:
-        raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
-    _check_enumerable(t)
     codes, nxt = _tradable(series, t)
+    _check_enumerable(t)
     n_contexts = 1 << t
     n_tables = 1 << n_contexts
     bit = np.arange(n_contexts)[:, None]
@@ -395,14 +375,13 @@ def _exact_best(near: np.ndarray, codes: np.ndarray, nxt: np.ndarray, n_contexts
     )
 
 
-def bucket_contexts(series: PriceSeries, t: int) -> ContextBuckets:
-    """Gather each context's subsequent returns.
+def bucket_contexts(series: PriceSeries, t: int) -> dict[int, list[float]]:
+    """Each occurring context's subsequent returns, in order of occurrence.
 
     Only contexts followed by at least one more period are bucketed, so
     the bucketed return count is exactly n - t.
     """
-    _check_window(series, t)
-    return ContextBuckets(lookback=t, buckets=_buckets(*_tradable(series, t)))
+    return _buckets(*_tradable(series, t))
 
 
 def optimal_strategy(
@@ -418,10 +397,12 @@ def optimal_strategy(
     buckets, dominates every long-or-out table's profit on this series;
     it is returned correctly rounded. Float bucket sums decide every
     bucket they decide safely, beyond the rounding bound from zero; the
-    rest are summed correctly rounded, whose sign is exact.
+    rest are summed correctly rounded, whose sign is exact. A lookback
+    above MAX_TABLE_BITS raises CapacityError.
     """
-    _check_window(series, t)
     codes, nxt = _tradable(series, t)
+    if t > MAX_TABLE_BITS:
+        raise CapacityError(f"lookback {t} exceeds the {MAX_TABLE_BITS}-bit table limit")
     sums = np.bincount(codes, weights=nxt, minlength=1 << t)
     rows = ~(np.abs(sums) > _sum_error_bound(nxt))[codes]
     for code, values in _buckets(codes[rows], nxt[rows]).items():

@@ -67,6 +67,16 @@ class TestStrategyCommands:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("action", ["optimal", "brute", "decide"])
+    def test_lookback_equal_to_the_row_count_is_a_domain_error(self, tmp_path, capsys, action):
+        # three rows, lookback 3: no period follows a full window
+        path = tmp_path / "three.csv"
+        path.write_text("date,asset,return\n2020-01,X,0.5\n2020-02,X,-0.5\n2020-03,X,0.5\n")
+        code, out, err = run_cli(capsys, ["strategy", action, str(path), "--lookback", "3"])
+        assert code == 1
+        assert out == ""
+        assert "no subsequent period" in err
+
 
 class TestKnapsackCommands:
     INSTANCE = {
@@ -460,28 +470,29 @@ class TestHardening:
         result = json.loads(out)
         assert result["decision"] is (result["profit"] > 0.5)
 
-    def test_reduce_reduces_the_scenario_once(self, tmp_path, capsys, monkeypatch):
+    def test_reduce_quantises_each_asset_once(self, tmp_path, capsys, monkeypatch):
         from marketsolver import knapsack_bridge
 
         calls = []
-        real = knapsack_bridge._occurrence_ticks
+        real = knapsack_bridge.ticks_array
 
-        def counted(sc):
-            calls.append(sc)
-            return real(sc)
+        def counted(values, tick):
+            calls.append(len(values))
+            return real(values, tick)
 
-        monkeypatch.setattr(knapsack_bridge, "_occurrence_ticks", counted)
+        monkeypatch.setattr(knapsack_bridge, "ticks_array", counted)
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps(TestKnapsackCommands.INSTANCE))
         prefix = str(tmp_path / "scenario")
         assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
+        calls.clear()
         code, out, _ = run_cli(
             capsys, ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json"]
         )
         assert code == 0
         assert json.loads(out)["decision"] is True
-        # one reduction, one independent replay of the witness
-        assert len(calls) == 2
+        # one call per asset, over all its prices and returns
+        assert len(calls) == len(TestKnapsackCommands.INSTANCE["items"]) == 3
 
     def test_sparse_panel_is_a_domain_error(self, tmp_path, capsys, monkeypatch):
         from marketsolver import series

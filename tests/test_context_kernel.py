@@ -98,9 +98,9 @@ def bits(x):
 
 
 @st.composite
-def cent_series(draw, min_extra=1):
+def cent_series(draw):
     t = draw(st.integers(1, 3))
-    cents = draw(st.lists(st.integers(-500, 500), min_size=t + min_extra, max_size=60))
+    cents = draw(st.lists(st.integers(-500, 500), min_size=t + 1, max_size=60))
     return t, [c / 100 for c in cents]
 
 
@@ -147,7 +147,7 @@ class TestBitIdentity:
         assert bits(profit) == bits(expected)
 
     @settings(max_examples=100, deadline=None)
-    @given(cent_series(min_extra=0))
+    @given(cent_series())
     def test_brute_force_best(self, case):
         t, returns = case
         strat, profit = brute_force_best(as_series(returns), t)
@@ -157,7 +157,7 @@ class TestBitIdentity:
         assert bits(profit) == bits(expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(cent_series(min_extra=0), st.data())
+    @given(cent_series(), st.data())
     def test_evaluate(self, case, data):
         t, returns = case
         table = tuple(

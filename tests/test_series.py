@@ -84,18 +84,18 @@ class TestLoadPanelCsv:
 
 class TestDirections:
     def test_empty(self):
-        assert directions(make_series([])).bits == ()
+        assert directions(make_series([])).tolist() == []
 
     def test_sign_definition_with_zero_as_down(self):
         srs = make_series([1.0, -1.0, 2.0, 0.0])
-        assert directions(srs).bits == (1, 0, 1, 0)
+        assert directions(srs).tolist() == [1, 0, 1, 0]
 
     @given(st.lists(st.floats(-10, 10, allow_nan=False), max_size=50))
     def test_up_count_matches_positive_count(self, returns):
         srs = PriceSeries(
             returns=tuple(returns), prices=tuple([1.0] * len(returns))
         )
-        bits = directions(srs).bits
+        bits = directions(srs).tolist()
         assert sum(bits) == sum(1 for r in returns if r > 0)
         assert all(b == (1 if r > 0 else 0) for b, r in zip(bits, returns))
 
@@ -146,7 +146,7 @@ class TestGenRandomWalk:
 
     def test_fair_walk_up_fraction(self):
         srs = gen_random_walk(10_000, 0.5, seed=11)
-        frac = sum(directions(srs).bits) / 10_000
+        frac = sum(directions(srs).tolist()) / 10_000
         assert abs(frac - 0.5) < 0.02
 
     def test_deterministic_given_seed(self):
@@ -160,7 +160,7 @@ class TestGenRandomWalk:
 
 def conditional_up_rate(srs, pattern):
     """Independent count: P(next period UP | trailing bits == pattern)."""
-    bits = directions(srs).bits
+    bits = directions(srs).tolist()
     t = pattern.lookback
     hits = ups = 0
     for i in range(t, len(bits)):

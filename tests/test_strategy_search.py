@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from marketsolver import (
     CapacityError,
     CriticalValue,
     InvalidWindowError,
+    MultiAssetScenario,
     PriceSeries,
     TechnicalStrategy,
     WorkCounter,
@@ -90,14 +94,14 @@ class TestBestPositionSequence:
         seq, profit = best_position_sequence(
             PriceSeries(returns=(0.0, 0.0), prices=(1.0, 1.0))
         )
-        assert seq.positions == (0, 0)
+        assert seq == (0, 0)
         assert profit == 0.0
 
     def test_absolute_value_identity(self):
         seq, profit = best_position_sequence(
             PriceSeries(returns=(2.0, -3.0), prices=(1.0, 1.0))
         )
-        assert seq.positions == (1, -1)
+        assert seq == (1, -1)
         assert profit == 5.0
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=30))
@@ -143,7 +147,7 @@ class TestBruteForceBest:
         srs = make_series([1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
         strat, profit = brute_force_best(srs, 1)
         sums = bucket_contexts(srs, 1)
-        assert all(sums.total(c) <= 0 for c in sums.buckets)
+        assert all(math.fsum(sums[c]) <= 0 for c in sums)
         assert profit == 0.0
         assert strat.table == (0, 0)
 
@@ -159,9 +163,8 @@ class TestBruteForceBest:
 
     def test_series_of_length_t_has_no_tradable_period(self):
         srs = make_series([1.0, -1.0, 1.0])
-        strat, profit = brute_force_best(srs, 3)
-        assert profit == 0.0
-        assert strat.bitmask() == 0  # tie-break keeps the lowest mask
+        with pytest.raises(InvalidWindowError):
+            brute_force_best(srs, 3)
 
     def test_counts_strategies(self):
         counter = WorkCounter()
@@ -169,17 +172,50 @@ class TestBruteForceBest:
         assert counter.strategies_evaluated == 16
 
 
+def _scenario(srs, t):
+    return MultiAssetScenario(assets=[srs], lookback=t, budget=1, target=1)
+
+
+WINDOW_CALLERS = {
+    "evaluate": lambda srs, t: evaluate(
+        TechnicalStrategy(lookback=t, table=(0,) * (1 << t)), srs
+    ),
+    "brute_force_best": brute_force_best,
+    "optimal_strategy": optimal_strategy,
+    "bucket_contexts": bucket_contexts,
+    "MultiAssetScenario": _scenario,
+}
+
+
+class TestWindowRule:
+    """One rule for every reader of the occurrence stream: 1 <= t < n."""
+
+    @pytest.mark.parametrize("caller", sorted(WINDOW_CALLERS))
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_lookback_needs_a_following_period(self, caller, t):
+        call = WINDOW_CALLERS[caller]
+        with pytest.raises(InvalidWindowError):
+            call(make_series([1.0, -1.0, 1.0][:t]), t)
+        call(make_series([1.0, -1.0, 1.0, -1.0][: t + 1]), t)
+
+    @pytest.mark.parametrize("caller", sorted(set(WINDOW_CALLERS) - {"evaluate"}))
+    def test_lookback_below_one_rejected(self, caller):
+        # (a strategy of lookback 0 cannot be built, so evaluate never sees one)
+        with pytest.raises(InvalidWindowError):
+            WINDOW_CALLERS[caller](make_series([1.0, -1.0]), 0)
+
+
 class TestBucketContexts:
     def test_bucket_137_collects_literal_returns(self):
         srs = pattern_137_series()
         buckets = bucket_contexts(srs, 8)
-        assert buckets.buckets[137] == [1.0, 0.0, 1.0]
-        assert buckets.total(137) == 2.0
+        assert buckets[137] == [1.0, 0.0, 1.0]
+        assert math.fsum(buckets[137]) == 2.0
 
     def test_total_bucketed_is_n_minus_t(self):
         for t in (1, 2, 5):
             srs = gen_random_walk(30, 0.5, seed=t)
-            assert bucket_contexts(srs, t).count() == 30 - t
+            assert sum(map(len, bucket_contexts(srs, t).values())) == 30 - t
 
     def test_no_subsequent_period_rejected(self):
         with pytest.raises(InvalidWindowError):
@@ -192,16 +228,16 @@ class TestBucketContexts:
         joint = bucket_contexts(make_series(a + b), t)
         parts = bucket_contexts(make_series(a), t)
         parts_b = bucket_contexts(make_series(b), t)
-        for code, rets in parts_b.buckets.items():
-            parts.buckets.setdefault(code, []).extend(rets)
+        for code, rets in parts_b.items():
+            parts.setdefault(code, []).extend(rets)
         # joint sees exactly t extra entries at the seam: the windows whose
         # span or subsequent return crosses from a into b
-        assert joint.count() == parts.count() + t
+        assert sum(map(len, joint.values())) == sum(map(len, parts.values())) + t
         joint_entries = sorted(
-            (c, r) for c, rets in joint.buckets.items() for r in rets
+            (c, r) for c, rets in joint.items() for r in rets
         )
         part_entries = sorted(
-            (c, r) for c, rets in parts.buckets.items() for r in rets
+            (c, r) for c, rets in parts.items() for r in rets
         )
         extra = len(joint_entries) - len(part_entries)
         assert extra == t
@@ -223,7 +259,7 @@ class TestOptimalStrategy:
         srs = gen_random_walk(60, 0.5, seed=17)
         buckets = bucket_contexts(srs, 2)
         _, profit = optimal_strategy(srs, 2)
-        expected = sum(max(0.0, buckets.total(c)) for c in buckets.buckets)
+        expected = sum(max(0.0, math.fsum(buckets[c])) for c in buckets)
         assert profit == expected
 
     def test_dominates_every_enumerated_strategy(self):
@@ -232,6 +268,18 @@ class TestOptimalStrategy:
             _, best = optimal_strategy(srs, t)
             for strat in enumerate_long_or_out(t):
                 assert evaluate(strat, srs) <= best
+
+    def test_table_bits_are_capped_before_allocating(self, monkeypatch):
+        import marketsolver.strategy_search as ss
+
+        srs = gen_random_walk(30, 0.5, seed=2)
+        with pytest.raises(CapacityError, match="table limit"):
+            optimal_strategy(srs, ss.MAX_TABLE_BITS + 1)
+        # the cap itself is a working lookback; shown at a small cap
+        monkeypatch.setattr(ss, "MAX_TABLE_BITS", 3)
+        assert len(optimal_strategy(srs, 3)[0].table) == 8
+        with pytest.raises(CapacityError):
+            optimal_strategy(srs, 4)
 
     def test_zero_sum_bucket_ties_to_out(self):
         # UP context followed by +1 once and -1 once: bucket sum 0 stays out
@@ -254,7 +302,7 @@ class TestDecideQ3:
     def test_planted_edge_clears_zero(self):
         pattern = Context(lookback=3, code=0b111)
         srs = gen_planted(20_000, pattern, 0.3, seed=6)
-        assert bucket_contexts(srs, 3).total(0b111) > 0
+        assert math.fsum(bucket_contexts(srs, 3)[0b111]) > 0
         assert decide_q3(srs, 3, CriticalValue(K=0.0)) is True
 
     def test_antitone_in_threshold(self):
@@ -278,6 +326,30 @@ class TestStrategyType:
     def test_json_round_trip(self):
         strat = TechnicalStrategy(lookback=2, table=(0, 1, 1, 0), long_or_out=True)
         assert TechnicalStrategy.from_json(strat.to_json()) == strat
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lookback", 1.9),
+            ("lookback", "1"),
+            ("lookback", True),
+            ("table", [0, "1"]),
+            ("table", [0, True]),
+            ("table", [0, 1.0]),
+            ("table", "01"),
+            ("long_or_out", "false"),
+            ("long_or_out", 1),
+            ("long_or_out", None),
+        ],
+    )
+    def test_json_is_not_coerced(self, field, value):
+        obj = {"lookback": 1, "table": [0, 1], "long_or_out": True, field: value}
+        with pytest.raises(ValueError, match=field):
+            TechnicalStrategy.from_json(json.dumps(obj))
+
+    def test_json_needs_every_field(self):
+        with pytest.raises(ValueError, match="long_or_out"):
+            TechnicalStrategy.from_json('{"lookback": 1, "table": [0, 1]}')
 
     def test_critical_value_must_be_finite(self):
         with pytest.raises(ValueError):
