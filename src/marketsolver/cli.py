@@ -120,9 +120,7 @@ def _cmd_knapsack(args) -> int:
             )
         else:
             if args.strict:
-                inst = knapsack_bridge.KnapsackInstance(
-                    items=inst.items, budget=inst.budget, target=inst.target + 1
-                )
+                inst = replace(inst, target=inst.target + 1)
             _emit({"decision": knapsack_bridge.decide_knapsack(inst)})
     elif args.action == "reduce":
         if not args.sidecar:
@@ -130,10 +128,10 @@ def _cmd_knapsack(args) -> int:
             return 2
         sidecar = json.loads(_read_text(args.sidecar))
         sc = knapsack_bridge.read_scenario_csv(_read_text(args.file), sidecar)
-        if args.strict:
-            sc = replace(sc, target=sc.target + 1)
         inst, mapping = knapsack_bridge.scenario_to_knapsack(sc)
-        decision, witness = knapsack_bridge.decide_q4(sc)
+        if args.strict:
+            inst = replace(inst, target=inst.target + 1)
+        decision, witness = knapsack_bridge.decide_reduced(sc, inst, mapping)
         _emit(
             {
                 "instance": json.loads(inst.to_json()),

@@ -4,8 +4,17 @@ Budget-constrained long-or-out strategy selection over several assets is
 the same problem as 0/1 knapsack: each distinct direction context is an
 item whose size is the capital needed to buy at its occurrences and whose
 value is the return earned after them. Both reduction directions live
-here, plus a pseudo-polynomial DP solver and the subset-enumeration brute
+here, plus the exact solver `solve_dp` and the subset-enumeration brute
 force that validates it.
+
+`solve_dp` has two paths and picks one by counted work. With n items of
+which n' fit the budget B, it enumerates the 2**n' subsets when n' is at
+most MAX_SUBSET_ITEMS (20) and 2**n' * SUBSET_ENTRY_WEIGHT is below the
+DP's (n+1)*(B+1) cells; otherwise it runs the pseudo-polynomial DP. The
+weight W is the measured cost of one subset entry in DP cells; counting
+both in raw units would send 20 items at B = 150,000 to the slower path.
+A reduced scenario has a few items and a budget in cents, so it takes the
+subset path; many items with a small budget take the DP.
 
 All knapsack quantities are positive integers in units of a configurable
 tick; prices and returns must quantize exactly.
@@ -23,10 +32,16 @@ import numpy as np
 
 from .errors import CapacityError, InstanceFormatError, QuantizationError
 from .series import PriceSeries
-from .strategy_search import LONG, OUT, TechnicalStrategy, _tradable
+from .strategy_search import LONG, MAX_TABLE_BITS, OUT, TechnicalStrategy, _tradable
 
 MAX_BRUTE_ITEMS = 25
 MAX_DP_CELLS = 50_000_000
+# The subset path holds two arrays of 2**n' entries: 16 MB at 20 items.
+MAX_SUBSET_ITEMS = 20
+# Cost of one subset entry (build plus walk back) in DP cells. Timed on
+# 2-vCPU x86-64, numpy 2.4: an entry costs 9-23 ns at 14-20 items, a DP
+# cell 0.7-2 ns, and the two paths cross at weights of 8-17.
+SUBSET_ENTRY_WEIGHT = 10
 
 
 @dataclass(frozen=True)
@@ -215,30 +230,45 @@ def solve_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
 
 
 def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
-    """0/1 knapsack by DP over budgets 0..B, pseudo-polynomial in B.
+    """Exact 0/1 knapsack: subset enumeration or DP, whichever does less work.
 
-    One value row over budgets 0..B holds the best value of the items seen
-    so far; it is updated in place per item (s, v) from a separate scratch
-    row of row[b - s] + v, so each item is used at most once. Item i's take
-    bits, "row[b] rose strictly when item i came in", are packed 8 budgets
-    to a byte into an n x ceil((B+1)/8) table, and the walk back from B
-    takes item i when its bit at the remaining budget is set: the same
-    test as comparing rows i and i+1 of the full (n+1) x (B+1) table, so
-    the chosen set is the same too.
+    Both paths answer with the DP's witness. Let F(k, b) be the best value
+    of items 0..k-1 within budget b; the walk back from B takes item i
+    exactly when F(i+1, b) > F(i, b) at the remaining budget b, so ties
+    resolve the same way on either path.
 
-    The row is int32 when the item values total less than 2**31 and int64
+    Items larger than B can never be taken. When at most MAX_SUBSET_ITEMS
+    items remain, n' of them, and 2**n' * SUBSET_ENTRY_WEIGHT is below the
+    DP's (n+1)*(B+1) cells, the subset path runs (see `_solve_subsets`):
+    its cost does not depend on B. Otherwise the DP runs over budgets
+    0..B, pseudo-polynomial in B.
+
+    DP: one value row over budgets 0..B holds the best value of the items
+    seen so far; it is updated in place per item (s, v) from a separate
+    scratch row of row[b - s] + v, so each item is used at most once. Item
+    i's take bits, "row[b] rose strictly when item i came in", are packed 8
+    budgets to a byte into an n x ceil((B+1)/8) table, and the walk back
+    from B takes item i when its bit at the remaining budget is set. Memory
+    is about (B+1)*(2*width + 1) + n*(B+1)/8 bytes, and the cell count
+    (n+1)*(B+1) is capped at MAX_DP_CELLS.
+
+    Values are int32 when the item values total less than 2**31 and int64
     when they total less than 2**63, exact either way; a larger total
-    raises CapacityError. Memory is about (B+1)*(2*width + 1) + n*(B+1)/8
-    bytes for a width of 4 or 8 bytes. The cell count (n+1)*(B+1) is still
-    capped at MAX_DP_CELLS.
+    raises CapacityError on both paths.
     """
     n = len(inst.items)
     budget = inst.budget
+    dtype = _exact_int_dtype(sum(v for _, v in inst.items), "item value")
+    kept = [i for i, (s, _) in enumerate(inst.items) if s <= budget]
+    if (
+        len(kept) <= MAX_SUBSET_ITEMS
+        and (1 << len(kept)) * SUBSET_ENTRY_WEIGHT < (n + 1) * (budget + 1)
+    ):
+        return _solve_subsets(inst, kept, dtype)
     if (budget + 1) * (n + 1) > MAX_DP_CELLS:
         raise CapacityError(
             f"DP table of {(budget + 1) * (n + 1)} cells exceeds cap {MAX_DP_CELLS}"
         )
-    dtype = _exact_int_dtype(sum(v for _, v in inst.items), "item value")
     row = np.zeros(budget + 1, dtype=dtype)
     taken = np.empty(budget + 1, dtype=dtype)
     gain = np.empty(budget + 1, dtype=bool)
@@ -263,6 +293,54 @@ def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
     total_size = sum(inst.items[i][0] for i in chosen)
     return KnapsackSolution(
         chosen=tuple(chosen), total_size=total_size, total_value=int(row[budget])
+    )
+
+
+def _solve_subsets(inst: KnapsackInstance, kept: list[int], dtype: type) -> KnapsackSolution:
+    """The DP's answer from the (size, value) table of every subset of `kept`.
+
+    Entry m of the table is the subset whose bit k marks kept item k; it
+    is built by doubling, entries [2**k, 2**(k+1)) being entries [0, 2**k)
+    plus item k. So the first 2**k entries are the subsets of kept items
+    0..k-1, and F(k, b) is the best value among them with size <= b.
+    Walking back, kept item k is taken when the best entry holding it
+    beats F(k, b), i.e. F(k+1, b) > F(k, b), the DP's own rule.
+
+    F(k, b) is the same for every b at or above the total kept size, so
+    the walk starts from min(B, that total). Sizes saturate one above the
+    start, so they never wrap, and a saturated entry is too large for
+    every budget the walk asks about. Sizes are int32 or int64 as the
+    start allows; a start of 2**62 or more raises CapacityError.
+    """
+    items = inst.items
+    start = min(inst.budget, sum(items[i][0] for i in kept))
+    full = start + 1
+    count = 1 << len(kept)
+    sizes = np.zeros(count, dtype=_exact_int_dtype(2 * start + 1, "item size"))
+    values = np.zeros(count, dtype=dtype)
+    for k, i in enumerate(kept):
+        s, v = items[i]
+        half = 1 << k
+        upper = sizes[half : 2 * half]
+        np.add(sizes[:half], s, out=upper)
+        np.minimum(upper, full, out=upper)
+        np.add(values[:half], v, out=values[half : 2 * half])
+    chosen = []
+    b = start
+    fits = sizes <= b
+    for k in range(len(kept) - 1, -1, -1):
+        half = 1 << k
+        without = values[:half].max(where=fits[:half], initial=0)
+        with_k = values[half : 2 * half].max(where=fits[half : 2 * half], initial=0)
+        if with_k > without:
+            chosen.append(kept[k])
+            b -= items[kept[k]][0]
+            fits = sizes[:half] <= b
+    chosen.reverse()
+    return KnapsackSolution(
+        chosen=tuple(chosen),
+        total_size=sum(items[i][0] for i in chosen),
+        total_value=sum(items[i][1] for i in chosen),
     )
 
 
@@ -351,29 +429,50 @@ def knapsack_to_scenario(
 def decide_q4(sc: MultiAssetScenario) -> tuple[bool, Optional[TechnicalStrategy]]:
     """Budget-constrained strategy decision via the knapsack reduction.
 
-    Reduces, solves by DP, and converts the chosen items back to a
-    long-or-out table. A YES answer is re-verified directly against the
-    scenario: the witness's realized profit must reach the target and its
-    summed entry prices must fit the budget, both in tick units.
+    Reduces the scenario, then decides it with `decide_reduced`.
     """
     inst, mapping = scenario_to_knapsack(sc)
+    return decide_reduced(sc, inst, mapping)
+
+
+def decide_reduced(
+    sc: MultiAssetScenario, inst: KnapsackInstance, mapping: dict[int, int]
+) -> tuple[bool, Optional[TechnicalStrategy]]:
+    """Decide a scenario from its reduction (`scenario_to_knapsack`'s output).
+
+    Solves the instance by `solve_dp` and converts the chosen items back
+    to a long-or-out table. The instance's budget and target are the ones
+    decided, so a caller may raise the target without rebuilding the
+    scenario. A YES answer is re-verified directly against the scenario:
+    the witness's realized profit must reach the target and its summed
+    entry prices must fit the budget, both in tick units.
+
+    The witness table has 2**lookback entries, so a lookback above
+    MAX_TABLE_BITS raises CapacityError before anything is solved.
+    """
+    if sc.lookback > MAX_TABLE_BITS:
+        raise CapacityError(
+            f"lookback {sc.lookback} exceeds the {MAX_TABLE_BITS}-bit table limit"
+        )
     if not inst.items:
         return False, None
     sol = solve_dp(inst)
-    if sol.total_value < sc.target:
+    if sol.total_value < inst.target:
         return False, None
-    chosen_codes = {code for code, idx in mapping.items() if idx in set(sol.chosen)}
+    chosen = set(sol.chosen)
     table = [OUT] * (1 << sc.lookback)
-    for code in chosen_codes:
-        table[code] = LONG
+    for code, idx in mapping.items():
+        if idx in chosen:
+            table[code] = LONG
     witness = TechnicalStrategy(
         lookback=sc.lookback, table=tuple(table), long_or_out=True
     )
     profit_ticks, cost_ticks = realized_profit_and_cost(sc, witness)
-    if profit_ticks < sc.target or cost_ticks > sc.budget:
+    if profit_ticks < inst.target or cost_ticks > inst.budget:
         raise AssertionError(
             "reduction witness failed direct re-verification; "
-            f"profit={profit_ticks} target={sc.target} cost={cost_ticks} budget={sc.budget}"
+            f"profit={profit_ticks} target={inst.target} "
+            f"cost={cost_ticks} budget={inst.budget}"
         )
     return True, witness
 

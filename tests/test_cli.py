@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -485,14 +486,78 @@ class TestHardening:
         inst_path.write_text(json.dumps(TestKnapsackCommands.INSTANCE))
         prefix = str(tmp_path / "scenario")
         assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
-        calls.clear()
+        for strict, decision in (([], True), (["--strict"], False)):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys,
+                ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json", *strict],
+            )
+            assert code == 0
+            assert json.loads(out)["decision"] is decision
+            # one call per asset, over all its prices and returns
+            assert len(calls) == len(TestKnapsackCommands.INSTANCE["items"]) == 3
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_reduce_aggregates_once(self, tmp_path, capsys, monkeypatch, strict):
+        from marketsolver import knapsack_bridge
+
+        calls = []
+        real = knapsack_bridge.scenario_to_knapsack
+
+        def counted(sc):
+            calls.append(sc)
+            return real(sc)
+
+        monkeypatch.setattr(knapsack_bridge, "scenario_to_knapsack", counted)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(TestKnapsackCommands.INSTANCE))
+        prefix = str(tmp_path / "scenario")
+        assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
         code, out, _ = run_cli(
-            capsys, ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json"]
+            capsys, ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json", *strict]
         )
         assert code == 0
-        assert json.loads(out)["decision"] is True
-        # one call per asset, over all its prices and returns
-        assert len(calls) == len(TestKnapsackCommands.INSTANCE["items"]) == 3
+        assert len(calls) == 1
+        reduced = json.loads(out)
+        target = TestKnapsackCommands.INSTANCE["target"] + len(strict)
+        assert reduced["instance"]["target"] == target
+        assert reduced["decision"] is (not strict)
+
+    @staticmethod
+    def _two_asset_scenario(tmp_path, lookback):
+        rng = random.Random(40)
+        rows = ["date,asset,return,price"]
+        for a in range(2):
+            price = 100
+            for i in range(40):
+                move = rng.choice([-1, 1])
+                price += move
+                rows.append(f"{2000 + i // 12:04d}-{i % 12 + 1:02d},A{a},{move}.0,{price}.0")
+        csv_path = tmp_path / "sc.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        side = tmp_path / "sc.json"
+        side.write_text(
+            json.dumps({"lookback": lookback, "budget": 10_000, "target": 1, "tick": 1.0})
+        )
+        return ["knapsack", "reduce", str(csv_path), "--sidecar", str(side)]
+
+    @pytest.mark.parametrize("lookback", [25, 26, 30])
+    def test_reduce_lookback_beyond_the_table_limit(self, tmp_path, capsys, lookback):
+        code, out, err = run_cli(capsys, self._two_asset_scenario(tmp_path, lookback))
+        assert code == 1
+        assert out == ""
+        assert f"lookback {lookback} exceeds the 24-bit table limit" in err
+
+    def test_reduce_lookback_at_the_table_limit(self, tmp_path, capsys, monkeypatch):
+        from marketsolver import knapsack_bridge
+
+        monkeypatch.setattr(knapsack_bridge, "MAX_TABLE_BITS", 3)
+        code, out, _ = run_cli(capsys, self._two_asset_scenario(tmp_path, 3))
+        assert code == 0
+        assert len(json.loads(out)["witness"]["table"]) == 8
+        code, out, err = run_cli(capsys, self._two_asset_scenario(tmp_path, 4))
+        assert code == 1
+        assert out == "" and "table limit" in err
 
     def test_sparse_panel_is_a_domain_error(self, tmp_path, capsys, monkeypatch):
         from marketsolver import series

@@ -1,12 +1,13 @@
-"""The rolling-row knapsack DP against the full-table DP it replaced.
+"""Both paths of `solve_dp` against the full-table DP it replaced.
 
 `ref_solve_dp` below is the (n+1) x (B+1) int64 table DP that `solve_dp`
-used to be. The rolling row with packed take bits must return the same
-witness, size and value, not just the same optimum: the walk back asks
-the same question of both layouts.
+used to be. The rolling row with packed take bits and the subset table
+must return the same witness, size and value, not just the same optimum:
+the walk back asks the same question of every layout.
 """
 
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from marketsolver import (
     solve_bruteforce,
     solve_dp,
 )
+from marketsolver import knapsack_bridge
 from marketsolver.knapsack_bridge import _exact_int_dtype
 
 # ------------------------------------------------------- frozen reference
@@ -51,6 +53,27 @@ def assert_same(inst):
     assert got.total_size <= inst.budget
     assert sum(inst.items[i][1] for i in got.chosen) == got.total_value
     return got
+
+
+@contextmanager
+def subset_path(weight=None):
+    """Count `solve_dp`'s subset-path calls, optionally at another weight."""
+    calls = []
+    real = knapsack_bridge._solve_subsets
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapsack_bridge, "_solve_subsets", counted)
+        if weight is not None:
+            mp.setattr(knapsack_bridge, "SUBSET_ENTRY_WEIGHT", weight)
+        yield calls
+
+
+def refuse_subsets(*args):
+    raise AssertionError("the subset path ran")
 
 
 # ---------------------------------------------------------------- inputs
@@ -167,3 +190,132 @@ def test_largest_exact_value_total_is_solved():
     for solve in (solve_dp, solve_bruteforce):
         sol = solve(inst)
         assert sol.chosen == (0, 1) and sol.total_value == 2**63 - 1
+
+
+# ------------------------------------------------------- choice of path
+
+
+def boundary_budget(n):
+    """Smallest budget at which n items, all fitting, take the subset path."""
+    return (1 << n) * knapsack_bridge.SUBSET_ENTRY_WEIGHT // (n + 1)
+
+
+def test_many_items_and_a_small_budget_take_the_dp(monkeypatch):
+    monkeypatch.setattr(knapsack_bridge, "_solve_subsets", refuse_subsets)
+    rng = random.Random(30)
+    for _ in range(20):
+        items = tuple((rng.randint(1, 12), rng.randint(1, 5)) for _ in range(30))
+        assert_same(KnapsackInstance(items=items, budget=50, target=1))
+
+
+@pytest.mark.parametrize("n", [4, 10, 16])
+def test_each_side_of_the_work_boundary(n):
+    weight = knapsack_bridge.SUBSET_ENTRY_WEIGHT
+    edge = boundary_budget(n)
+    assert (n + 1) * edge <= (1 << n) * weight < (n + 1) * (edge + 1)
+    rng = random.Random(n)
+    items = tuple((rng.randint(1, edge // n), rng.randint(1, 9)) for _ in range(n))
+    for budget, subsets in ((edge - 1, 0), (edge, 1)):
+        with subset_path() as calls:
+            assert_same(KnapsackInstance(items=items, budget=budget, target=1))
+        assert len(calls) == subsets
+
+
+def test_twenty_items_and_a_mid_budget_take_the_dp(monkeypatch):
+    # the raw count 2**21 < 21 * 150_001 would pick subsets, which cost more
+    monkeypatch.setattr(knapsack_bridge, "_solve_subsets", refuse_subsets)
+    rng = random.Random(20)
+    items = tuple((rng.randint(1, 20_000), rng.randint(1, 10**6)) for _ in range(20))
+    assert_same(KnapsackInstance(items=items, budget=150_000, target=1))
+
+
+def test_the_item_cap_counts_only_items_that_fit():
+    big = 10**12
+    fit = tuple((10**10 + i, 3 + i % 4) for i in range(knapsack_bridge.MAX_SUBSET_ITEMS))
+    with subset_path() as calls:
+        # five more items larger than the budget are dropped, not counted
+        sol = solve_dp(KnapsackInstance(items=fit + ((big + 1, 9),) * 5, budget=big, target=1))
+    assert len(calls) == 1
+    assert sol.chosen == tuple(range(len(fit)))
+    # one more item that fits is over the cap: the DP's cell cap refuses it
+    with subset_path() as calls, pytest.raises(CapacityError, match="cells"):
+        solve_dp(KnapsackInstance(items=fit + ((1, 1),), budget=big, target=1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_few_items_and_a_huge_budget(seed):
+    rng = random.Random(seed)
+    budget = 10**12
+    items = tuple((rng.randint(1, budget // 2), rng.randint(1, 100)) for _ in range(8))
+    inst = KnapsackInstance(items=items, budget=budget, target=1)
+    with subset_path() as calls:
+        sol = solve_dp(inst)
+    assert len(calls) == 1
+    assert sol.total_value == solve_bruteforce(inst).total_value
+    assert sol.total_size <= budget
+    assert sum(items[i][1] for i in sol.chosen) == sol.total_value
+
+
+def test_sizes_near_the_int64_edge():
+    edge = 2**61
+    inst = KnapsackInstance(
+        items=((2**60, 1), (2**60, 2), (2**60 + 1, 3)), budget=edge, target=1
+    )
+    # {0, 1} and {2} both reach 3; the DP's rule keeps the earlier items
+    assert solve_dp(inst) == KnapsackSolution(chosen=(0, 1), total_size=edge, total_value=3)
+    assert solve_bruteforce(inst).chosen == (0, 1)
+    too_big = KnapsackInstance(items=((2**62, 1), (2**62, 1)), budget=2**62, target=1)
+    with pytest.raises(CapacityError, match="item size"):
+        solve_dp(too_big)
+
+
+def test_sizes_saturate_instead_of_wrapping():
+    # int32 sizes: five items together pass 2**31, two fit the budget
+    # and a wrapped size would make all five look affordable, taking item 4
+    items = tuple((2**29 - 1, v) for v in (5, 4, 3, 2, 1))
+    inst = KnapsackInstance(items=items, budget=2**30 - 1, target=1)
+    with subset_path() as calls:
+        sol = solve_dp(inst)
+    assert len(calls) == 1
+    assert sol == KnapsackSolution(chosen=(0, 1), total_size=2**30 - 2, total_value=9)
+    assert sol.total_value == solve_bruteforce(inst).total_value
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ((1, 2**62), (1, 2**62)),
+        ((1, 2**63 - 1), (10**13, 1)),
+    ],
+)
+def test_value_totals_beyond_int64_raise_on_the_subset_path(items):
+    with subset_path() as calls, pytest.raises(CapacityError, match="int64"):
+        solve_dp(KnapsackInstance(items=items, budget=10**12, target=1))
+    assert calls == []
+
+
+def test_largest_exact_value_total_on_the_subset_path():
+    inst = KnapsackInstance(items=((1, 2**62), (1, 2**62 - 1)), budget=10**12, target=1)
+    with subset_path() as calls:
+        sol = solve_dp(inst)
+    assert len(calls) == 1
+    assert sol.chosen == (0, 1) and sol.total_value == 2**63 - 1
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    budget = draw(st.integers(1, 30))
+    size = st.integers(1, budget + 3)
+    value = st.integers(1, draw(st.sampled_from([1, 2, 3, 50])))
+    pool = draw(st.lists(st.tuples(size, value), min_size=1, max_size=4))
+    items = draw(st.lists(st.sampled_from(pool), max_size=10))
+    return KnapsackInstance(items=tuple(items), budget=budget, target=1)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tie_heavy_instances())
+def test_subset_path_matches_full_table_on_ties(inst):
+    with subset_path(weight=0) as calls:
+        assert_same(inst)
+    assert len(calls) == 1
