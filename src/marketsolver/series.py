@@ -33,6 +33,8 @@ MAX_CONTEXT_BITS = 63
 PARSE_CHUNK_LINES = 4096
 # Dense panel cap: assets x months cells, 8 bytes per cell per array.
 MAX_PANEL_CELLS = 50_000_000
+# The byte-order mark some editors write at the start of a UTF-8 file.
+BOM = "\ufeff"
 
 
 def _float_vector(values: Iterable[float]) -> np.ndarray:
@@ -151,23 +153,27 @@ class CellView(Mapping):
 
     A NaN cell is a hole and has no key. Iteration runs asset by asset,
     then month by month. The view reads the array it was made from, so it
-    costs no memory of its own.
+    costs no memory of its own: the month labels are strictly increasing,
+    so a month is found by bisection rather than through a map.
     """
 
-    # The view keeps the panel's index maps and labels, not the panel
+    # The view keeps the panel's asset map and labels, not the panel
     # itself: a panel -> view -> panel cycle would outlive its last
     # reference until the cyclic garbage collector ran.
-    __slots__ = ("_grid", "_row", "_col", "_assets", "_months")
+    __slots__ = ("_grid", "_row", "_assets", "_months")
 
-    def __init__(self, grid: np.ndarray, row: dict, col: dict, assets: list, months: list):
-        self._grid, self._row, self._col = grid, row, col
+    def __init__(self, grid: np.ndarray, row: dict, assets: list, months: list):
+        self._grid, self._row = grid, row
         self._assets, self._months = assets, months
 
     def __getitem__(self, key) -> float:
         try:
             asset, month = key
-            value = float(self._grid[self._row[asset], self._col[month]])
-        except (KeyError, TypeError, ValueError):
+            j = bisect.bisect_left(self._months, month)
+            if self._months[j] != month:
+                raise KeyError(key)
+            value = float(self._grid[self._row[asset], j])
+        except (KeyError, IndexError, TypeError, ValueError):
             raise KeyError(key) from None
         if math.isnan(value):
             raise KeyError(key)
@@ -229,13 +235,13 @@ class PanelData:
         if len(set(self.assets)) != len(self.assets):
             dup = next(a for a, n in Counter(self.assets).items() if n > 1)
             raise ValueError(f"duplicate asset label {dup!r}")
-        if not all(map(operator.lt, self.months, self.months[1:])):
+        if not _increasing(self.months):
             raise ValueError("months must be strictly increasing")
         _check_panel_size(len(self.assets), len(self.months))
         self._row = {a: i for i, a in enumerate(self.assets)}
-        self._col = {m: j for j, m in enumerate(self.months)}
-        self.return_matrix = self._grid(returns, "returns")
-        grid = None if prices is None else self._grid(prices, "prices")
+        col = {m: j for j, m in enumerate(self.months)}
+        self.return_matrix = self._grid(returns, "returns", col)
+        grid = None if prices is None else self._grid(prices, "prices", col)
         if grid is not None:
             priced = ~np.isnan(grid)
             if (priced & np.isnan(self.return_matrix)).any():
@@ -243,26 +249,49 @@ class PanelData:
             if not priced.any():
                 grid = None
         self.price_matrix = grid
+        self._index()
+
+    @classmethod
+    def _from_parser(cls, assets, months, row, return_matrix, price_matrix):
+        """A panel over labels, asset map and arrays a CSV parser has checked.
+
+        Nothing is copied or checked again: `assets` and `months` must be
+        sorted and distinct, `row` the asset -> position map, and the
+        arrays private, read-only, finite and of the panel's shape, with a
+        price only where there is a return and not all holes.
+        """
+        panel = cls.__new__(cls)
+        panel.assets, panel.months, panel._row = assets, months, row
+        panel.return_matrix, panel.price_matrix = return_matrix, price_matrix
+        panel._index()
+        return panel
+
+    def _index(self) -> None:
+        """The running entry count and the mapping views over the arrays."""
         # entries of months 0..j, for j = 0..months-1
         self._entries_through = np.count_nonzero(~np.isnan(self.return_matrix), axis=0).cumsum()
-        index = (self._row, self._col, self.assets, self.months)
+        index = (self._row, self.assets, self.months)
         self.returns = CellView(self.return_matrix, *index)
+        grid = self.price_matrix
         if grid is None:  # an all-hole view that allocates nothing
             grid = np.broadcast_to(np.nan, self.return_matrix.shape)
         self.prices = CellView(grid, *index)
 
-    def _grid(self, values, what: str) -> np.ndarray:
-        """A private read-only assets x months copy of a mapping or an array."""
+    def _grid(self, values, what: str, col: dict) -> np.ndarray:
+        """A private read-only assets x months copy of a mapping or an array.
+
+        `col` maps each month label to its column.
+        """
         shape = (len(self.assets), len(self.months))
         if isinstance(values, Mapping):
             rows, cols = [], []
             for asset, month in values:
                 if asset not in self._row:
                     raise ValueError(f"unknown asset {asset!r} in {what} map")
-                if month not in self._col:
+                if month not in col:
                     raise ValueError(f"unknown month {month!r} in {what} map")
                 rows.append(self._row[asset])
-                cols.append(self._col[month])
+                cols.append(col[month])
             cells = np.fromiter(values.values(), np.float64, len(values))
             if not np.isfinite(cells).all():
                 raise ValueError(f"non-finite value in {what} map")
@@ -337,14 +366,20 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
     """Parse a `date,asset,return[,price]` CSV into a PanelData.
 
     Rejects duplicate (asset, date) rows and non-finite numbers, and
-    reports malformed rows with their 1-based line number. A header-only
-    input yields an empty panel. Assets and months are sorted; a panel
-    beyond MAX_PANEL_CELLS dense cells raises CapacityError.
+    reports malformed rows with their 1-based line number. Blank rows are
+    skipped and one leading byte-order mark (U+FEFF) is dropped. A
+    header-only input yields an empty panel. Assets and months are
+    sorted; a panel beyond MAX_PANEL_CELLS dense cells raises
+    CapacityError.
     """
     if isinstance(stream, str):
+        stream = stream.removeprefix(BOM)
         lines = stream.splitlines()
     else:
-        lines = stream
+        lines = iter(stream)
+        first = next(lines, None)
+        if first is not None:
+            lines = itertools.chain([first.removeprefix(BOM)], lines)
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -354,31 +389,37 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
     if header[:3] != ["date", "asset", "return"]:
         raise PanelParseError(1, f"expected header date,asset,return[,price], got {header}")
     has_price_col = len(header) >= 4 and header[3] == "price"
-    # Without quotes or NULs the csv module splits each line exactly at
-    # its commas, so such text can be split column-wise in bulk.
-    if isinstance(stream, str) and '"' not in stream and "\x00" not in stream:
-        body = lines[1:]
-        del lines, reader  # the bulk parser frees each line once it is split
-        panel = _parse_plain_lines(body, has_price_col)
-        if panel is not None:
-            return panel
-        reader = csv.reader(stream.splitlines())
-        next(reader)
+    if isinstance(stream, str) and "\x00" not in stream:
+        # the body starts at the physical line after those the header took
+        body = lines[reader.line_num :]
+        # Without quotes or NULs the csv module splits each line exactly
+        # at its commas, so such a body can be split column-wise in bulk.
+        if '"' not in stream or not any(map(operator.contains, body, itertools.repeat('"'))):
+            del lines, reader  # the bulk parser frees each line once it is split
+            panel = _parse_plain_lines(body, has_price_col)
+            if panel is not None:
+                return panel
+            reader = csv.reader(stream.splitlines())
+            next(reader)
     return _parse_rows(reader, has_price_col)
 
 
 def _parse_plain_lines(lines: list[str], has_price_col: bool):
     """Column-at-a-time parse of quote-free lines, or None if any is irregular.
 
-    Handles the common case (every line has the same field count, no
-    blank fields, finite numbers, no duplicate keys) with no per-row
-    Python code, and scatters the numbers straight into the dense arrays.
-    Otherwise it returns None and `_parse_rows` reads the lines one by
-    one, so it alone decides what to skip and which line to blame. Lines
-    are split, and removed from `lines`, a chunk at a time, so neither
-    all lines nor all number fields stay alive at once.
+    Handles the common case (every non-blank line has the same field
+    count, no blank fields, finite numbers, no duplicate keys) with no
+    per-row Python code, and puts the numbers straight into the dense
+    arrays. Otherwise it returns None and `_parse_rows` reads the lines
+    one by one, so it alone decides what to skip and which line to blame.
+    Lines are split, and removed from `lines`, a chunk at a time, so
+    neither all lines nor all number fields stay alive at once.
     """
     widths = set(map(str.count, lines, itertools.repeat(",")))
+    if len(widths) > 1:
+        # drop the lines `_parse_rows` skips, those whose fields are all blank
+        lines[:] = [line for line in lines if line.replace(",", "").strip()]
+        widths = set(map(str.count, lines, itertools.repeat(",")))
     if len(widths) != 1:
         return None
     width = widths.pop() + 1
@@ -405,20 +446,60 @@ def _parse_plain_lines(lines: list[str], has_price_col: bool):
     columns = [np.array(rets)] + ([np.array(levels)] if with_prices else [])
     if not all(np.isfinite(col).all() for col in columns):
         return None
-    assets, months = sorted(set(names)), sorted(set(dates))
-    _check_panel_size(len(assets), len(months))
+    labels = _grid_order_labels(names, dates)
+    in_grid_order = labels is not None
+    if not in_grid_order:
+        # Deduplicating in arrival order keeps sorted input sorted, so the
+        # sort is one linear pass on time-ordered files.
+        labels = sorted(dict.fromkeys(names)), sorted(dict.fromkeys(dates))
+    assets, months = labels
+    shape = (len(assets), len(months))
+    _check_panel_size(*shape)
     row = dict(zip(assets, itertools.count()))
-    col = dict(zip(months, itertools.count()))
-    cell = np.fromiter(map(row.__getitem__, names), np.intp, len(names)) * len(months)
-    cell += np.fromiter(map(col.__getitem__, dates), np.intp, len(dates))
-    grids = []
-    for values in columns:
-        grid = np.full(len(assets) * len(months), np.nan)
-        grid[cell] = values
-        grids.append(grid.reshape(len(assets), len(months)))
-    if np.count_nonzero(~np.isnan(grids[0])) != len(cell):
-        return None  # a duplicate (asset, date) key
-    return PanelData(assets, months, *grids)
+    if in_grid_order:  # each column already is its array, and no key can repeat
+        grids = [values.reshape(shape) for values in columns]
+    else:
+        col = dict(zip(months, itertools.count()))
+        cell = np.fromiter(map(row.__getitem__, names), np.intp, len(names)) * len(months)
+        cell += np.fromiter(map(col.__getitem__, dates), np.intp, len(dates))
+        grids = []
+        for values in columns:
+            grid = np.full(len(assets) * len(months), np.nan)
+            grid[cell] = values
+            grids.append(grid.reshape(shape))
+        if np.count_nonzero(~np.isnan(grids[0])) != len(cell):
+            return None  # a duplicate (asset, date) key
+    for grid in grids:
+        grid.setflags(write=False)
+    return PanelData._from_parser(
+        assets, months, row, grids[0], grids[1] if with_prices else None
+    )
+
+
+def _grid_order_labels(names: list[str], dates: list[str]):
+    """The (assets, months) of rows that run in the panel's own cell order, else None.
+
+    That order is asset by asset, in increasing order, each over the same
+    increasing months, so row k is cell k of the assets x months grid. The
+    labels are then read off the rows with comparisons alone.
+    """
+    try:  # in that order the first month comes round again with the second asset
+        n_months = dates.index(dates[0], 1)
+    except ValueError:
+        n_months = len(dates)
+    assets, months = names[::n_months], dates[:n_months]
+    if not (_increasing(assets) and _increasing(months)):
+        return None
+    each_asset_in_turn = itertools.chain.from_iterable(
+        map(itertools.repeat, assets, itertools.repeat(n_months))
+    )
+    if dates == months * len(assets) and names == list(each_asset_in_turn):
+        return assets, months
+    return None
+
+
+def _increasing(labels: list[str]) -> bool:
+    return all(map(operator.lt, labels, itertools.islice(labels, 1, None)))
 
 
 def _parse_number(line_no: int, field_name: str, text: str) -> float:

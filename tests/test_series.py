@@ -1,10 +1,11 @@
 import gc
+import io
 import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketsolver import (
@@ -80,6 +81,18 @@ class TestLoadPanelCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(PanelParseError):
             load_panel_csv("timestamp,ticker,ret\n")
+
+    @pytest.mark.parametrize("source", [str, io.StringIO, str.splitlines],
+                             ids=["text", "file", "lines"])
+    def test_byte_order_mark_is_dropped(self, source):
+        panel = load_panel_csv(source("\ufeffdate,asset,return\n2020-01,X,0.5\n"))
+        assert panel.returns == {("X", "2020-01"): 0.5}
+
+    def test_only_one_leading_byte_order_mark_is_dropped(self):
+        with pytest.raises(PanelParseError, match="expected header"):
+            load_panel_csv("\ufeff\ufeffdate,asset,return\n")
+        with pytest.raises(PanelParseError, match="missing header"):
+            load_panel_csv(io.StringIO(""))
 
 
 class TestDirections:
@@ -271,8 +284,6 @@ class TestNonFiniteAndFastPath:
             load_panel_csv(csv_text)
 
     def test_file_like_input(self):
-        import io
-
         panel = load_panel_csv(io.StringIO("date,asset,return\n2020-01,AAA,0.5\n"))
         assert panel.returns == {("AAA", "2020-01"): 0.5}
 
@@ -314,6 +325,14 @@ class TestDensePanel:
                                    ("B", "2020-03")]
         assert a.price_matrix is None and len(a.prices) == 0
         assert np.array_equal(a.return_matrix, np.array(grid), equal_nan=True)
+
+    @pytest.mark.parametrize("key", [("A", "2019-12"), ("A", "2020-015"), ("A", "2021"),
+                                     ("Z", "2020-01"), ("A", 5), ("A", ["2020-01"]), "A"])
+    def test_lookup_misses_are_key_errors(self, key):
+        panel = PanelData(["A"], self.MONTHS, [[0.1, 0.2, 0.3]])
+        assert key not in panel.returns
+        with pytest.raises(KeyError):
+            panel.returns[key]
 
     def test_arrays_are_read_only_copies(self):
         grid = np.zeros((1, 3))
@@ -382,3 +401,136 @@ class TestDensePanel:
             load_panel_csv(text)
         with pytest.raises(CapacityError):  # the row-by-row parser too
             load_panel_csv(text.replace(",A0000,", ',"A0000",'))
+
+
+def _outcome(source):
+    """The panel `load_panel_csv` makes of `source`, or the exception it raises."""
+    try:
+        return load_panel_csv(source)
+    except Exception as exc:  # compared by type, line and message
+        return exc
+
+
+def _assert_same_outcome(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert type(a) is type(b), (a, b)
+        assert getattr(a, "line_number", None) == getattr(b, "line_number", None)
+        assert str(a) == str(b)
+        return
+    assert (a.assets, a.months) == (b.assets, b.months)
+    assert a.return_matrix.shape == b.return_matrix.shape
+    # bitwise, so NaN holes and signed zeros count too
+    assert a.return_matrix.tobytes() == b.return_matrix.tobytes()
+    assert (a.price_matrix is None) == (b.price_matrix is None)
+    if a.price_matrix is not None:
+        assert a.price_matrix.tobytes() == b.price_matrix.tobytes()
+
+
+PAD = st.sampled_from(["", " ", "\t", "  "])
+NUMBER = st.one_of(
+    st.integers(-500, 500).map(lambda c: repr(c / 100)),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(["0", "-0.0", "1e-3", " 7 "]),
+)
+
+
+@st.composite
+def quote_free_panels(draw):
+    """Panel CSV text with the irregularities the row parser tolerates or names."""
+    assets = draw(st.lists(st.sampled_from(["A", "BB", "c1", "X", "Y9"]),
+                           min_size=1, max_size=5, unique=True))
+    months = [f"20{20 + i // 12}-{i % 12 + 1:02d}" for i in range(draw(st.integers(1, 8)))]
+    grid = [(a, m) for a in sorted(assets) for m in months]
+    keys = draw(st.one_of(
+        st.just(grid),  # every cell, in the panel's own order
+        st.permutations(grid),
+        st.lists(st.tuples(st.sampled_from(assets), st.sampled_from(months)), max_size=25),
+    ))
+    if keys and draw(st.integers(0, 3)) == 0:  # a duplicate (asset, date) key
+        keys.append(draw(st.sampled_from(keys)))
+    priced = draw(st.booleans())
+    rows = [["date", "asset", "return"] + (["price"] if priced else [])]
+    for asset, month in keys:
+        rows.append([month, asset, draw(NUMBER)])
+        if priced:  # sometimes blank, which leaves the cell unpriced
+            rows[-1].append(draw(st.sampled_from(["", "  "])) if draw(st.integers(0, 7)) == 0
+                            else draw(NUMBER))
+    if len(rows) > 1 and draw(st.integers(0, 3)) == 0:  # one bad field
+        row = draw(st.sampled_from(rows[1:]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(["", "oops", "nan", "inf"]))
+    lines = [",".join(draw(PAD) + field + draw(PAD) for field in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", " ", "\t", " , ,", ",,,"]))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+class TestBulkAndRowParsersAgree:
+    @settings(max_examples=400, deadline=None)
+    @given(quote_free_panels())
+    def test_random_quote_free_panels(self, text):
+        # a str goes through the bulk parser; a file object always row by row
+        _assert_same_outcome(_outcome(text), _outcome(io.StringIO(text)))
+
+    ONE_ASSET = "".join(
+        f"{1000 + i // 12}-{i % 12 + 1:02d},X,{(i % 7 - 3) / 100!r},{10 + i % 5}.25\n"
+        for i in range(600)
+    )
+    SHUFFLED = "".join(
+        f"{2000 + k % 40 // 12}-{k % 40 % 12 + 1:02d}, {'ABC'[k % 3]} ,{k / 8!r},{k + 1}\n"
+        for k in range(119, -1, -1)
+        if k % 11
+    )
+
+    @pytest.mark.parametrize("body", [
+        "2020-01,B,1\n2020-02,A,2\n2020-01,A,3\n2020-02,B,4\n",
+        "2020-01,A,1\n2020-02,B,2\n2020-01,B,3\n2020-02,A,4\n",
+        "2020-01,A,1\n2020-01,A,2\n2020-01,B,3\n2020-01,B,4\n",
+        "2020-02,X,1\n2020-01,X,2\n",
+        "2020-01,A,1\n2020-02,A,2\n2020-01,B,3\n",
+        "2020-01,A,1\n2020-01,B,2\n2020-01,A,3\n",
+    ], ids=["unsorted_assets", "interleaved_assets", "repeated_months", "reversed_months", "hole", "duplicate"])
+    def test_rows_out_of_grid_order_are_placed_by_key(self, body):
+        text = "date,asset,return\n" + body
+        _assert_same_outcome(_outcome(text), _outcome(io.StringIO(text)))
+
+    @pytest.mark.parametrize("body", [ONE_ASSET, SHUFFLED], ids=["in_order", "shuffled"])
+    def test_spellings_stay_on_the_bulk_path(self, body, monkeypatch):
+        from marketsolver import series
+
+        plain = "date,asset,return,price\n" + body
+        expected = load_panel_csv(io.StringIO(plain))
+
+        def refuse(rows, has_price_col):
+            raise AssertionError("the row parser was used")
+
+        monkeypatch.setattr(series, "_parse_rows", refuse)
+        crlf = plain.replace("\n", "\r\n")
+        spellings = [
+            plain,
+            crlf,
+            plain + "\n",
+            crlf + "\r\n",
+            plain.replace("\n", "\n \n", 3).replace("\n", "\n , ,\n", 1),
+            '"date",asset,"return",price\n' + body,
+            'date,asset,return,"price\n"\n' + body,  # a quoted header spanning two lines
+            "\ufeff" + plain,
+            "\ufeff" + crlf + "\r\n",
+        ]
+        for text in spellings:
+            _assert_same_outcome(load_panel_csv(text), expected)
+
+    def test_quotes_in_the_body_use_the_row_parser(self, monkeypatch):
+        from marketsolver import series
+
+        calls = []
+        row_parser = series._parse_rows
+
+        def counted(rows, has_price_col):
+            calls.append(has_price_col)
+            return row_parser(rows, has_price_col)
+
+        monkeypatch.setattr(series, "_parse_rows", counted)
+        panel = load_panel_csv('"date",asset,return\n2020-01,"X",0.5\n')
+        assert calls == [False] and panel.returns == {("X", "2020-01"): 0.5}
