@@ -39,10 +39,13 @@ class BenchRecord:
 
 
 def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-", less one leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix(series.BOM)
 
 
 def _load_series(path: str, asset: Optional[str]) -> series.PriceSeries:

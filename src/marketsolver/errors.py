@@ -21,7 +21,7 @@ class PanelParseError(MarketSolverError):
         self.line_number = line_number
 
 
-class DuplicateRowError(MarketSolverError):
+class DuplicateRowError(PanelParseError):
     """Two panel rows carry the same (asset, date) key."""
 
 

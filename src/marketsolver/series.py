@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import itertools
 import math
 import operator
@@ -362,25 +363,19 @@ class PanelData:
         return PriceSeries.from_returns(rets, start=start)
 
 
-def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
+def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:
     """Parse a `date,asset,return[,price]` CSV into a PanelData.
 
-    Rejects duplicate (asset, date) rows and non-finite numbers, and
-    reports malformed rows with their 1-based line number. Blank rows are
-    skipped and one leading byte-order mark (U+FEFF) is dropped. A
-    header-only input yields an empty panel. Assets and months are
-    sorted; a panel beyond MAX_PANEL_CELLS dense cells raises
-    CapacityError.
+    `source` is the CSV text or a text file opened with newline="". One
+    leading byte-order mark (U+FEFF) is dropped, and lines end at LF, CRLF
+    or a lone CR, as the csv module reads them. Rejects duplicate (asset,
+    date) rows and non-finite numbers, naming the 1-based physical line a
+    malformed row ends on. Blank rows are skipped. A header-only input
+    yields an empty panel. Assets and months are sorted; a panel beyond
+    MAX_PANEL_CELLS dense cells raises CapacityError.
     """
-    if isinstance(stream, str):
-        stream = stream.removeprefix(BOM)
-        lines = stream.splitlines()
-    else:
-        lines = iter(stream)
-        first = next(lines, None)
-        if first is not None:
-            lines = itertools.chain([first.removeprefix(BOM)], lines)
-    reader = csv.reader(lines)
+    text = (source if isinstance(source, str) else source.read()).removeprefix(BOM)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -389,18 +384,19 @@ def load_panel_csv(stream: Union[str, IO[str], Iterable[str]]) -> PanelData:
     if header[:3] != ["date", "asset", "return"]:
         raise PanelParseError(1, f"expected header date,asset,return[,price], got {header}")
     has_price_col = len(header) >= 4 and header[3] == "price"
-    if isinstance(stream, str) and "\x00" not in stream:
-        # the body starts at the physical line after those the header took
-        body = lines[reader.line_num :]
-        # Without quotes or NULs the csv module splits each line exactly
-        # at its commas, so such a body can be split column-wise in bulk.
-        if '"' not in stream or not any(map(operator.contains, body, itertools.repeat('"'))):
-            del lines, reader  # the bulk parser frees each line once it is split
+    # With no lone CR, the csv module's lines are the pieces between LFs;
+    # a CRLF line keeps its CR, which strip and float ignore. A NUL, which
+    # the csv module refuses before Python 3.11, is left to the reader.
+    if "\x00" not in text and ("\r" not in text or text.count("\r") == text.count("\r\n")):
+        body = text.split("\n")[reader.line_num :]
+        if body and not body[-1]:  # the piece after the last line end
+            body.pop()
+        # Without quotes each line splits exactly at its commas, so the
+        # body can be split column-wise in bulk.
+        if '"' not in text or not any(map(operator.contains, body, itertools.repeat('"'))):
             panel = _parse_plain_lines(body, has_price_col)
             if panel is not None:
                 return panel
-            reader = csv.reader(stream.splitlines())
-            next(reader)
     return _parse_rows(reader, has_price_col)
 
 
@@ -512,15 +508,19 @@ def _parse_number(line_no: int, field_name: str, text: str) -> float:
     return value
 
 
-def _parse_rows(rows: Iterable[list[str]], has_price_col: bool) -> PanelData:
-    """Row-by-row parse: skips blank rows, raises on the first bad line."""
+def _parse_rows(reader, has_price_col: bool) -> PanelData:
+    """Row-by-row parse of a csv reader's remaining records.
+
+    Skips blank rows and raises on the first bad one, naming its last line.
+    """
     returns: dict[tuple[str, str], float] = {}
     prices: dict[tuple[str, str], float] = {}
     assets: set[str] = set()
     months: set[str] = set()
-    for line_no, row in enumerate(rows, start=2):
+    for row in reader:
         if not row or all(not c.strip() for c in row):
             continue
+        line_no = reader.line_num
         if len(row) < 3:
             raise PanelParseError(line_no, f"expected at least 3 fields, got {len(row)}")
         date, asset = row[0].strip(), row[1].strip()
@@ -529,9 +529,7 @@ def _parse_rows(rows: Iterable[list[str]], has_price_col: bool) -> PanelData:
         ret = _parse_number(line_no, "return", row[2])
         key = (asset, date)
         if key in returns:
-            raise DuplicateRowError(
-                f"duplicate row for asset {asset!r} at {date!r} (line {line_no})"
-            )
+            raise DuplicateRowError(line_no, f"duplicate row for asset {asset!r} at {date!r}")
         returns[key] = ret
         if has_price_col and len(row) >= 4 and row[3].strip():
             prices[key] = _parse_number(line_no, "price", row[3])

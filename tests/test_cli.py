@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -571,3 +572,36 @@ class TestHardening:
         assert code == 1
         assert out == ""
         assert "90000 cells" in err
+
+
+class TestInputText:
+    """Stdin reads like a file, and every input drops one leading byte-order mark."""
+
+    INPUTS = {
+        "strategy": (["strategy", "optimal", "-", "--lookback", "2"], PANEL_CSV),
+        "sat": (["sat", "solve", "-"], EXAMPLE_DIMACS),
+        "knapsack": (["knapsack", "solve", "-"], json.dumps(TestKnapsackCommands.INSTANCE)),
+    }
+
+    @pytest.mark.parametrize("via", ["stdin", "file"])
+    @pytest.mark.parametrize("command", sorted(INPUTS))
+    def test_with_and_without_a_byte_order_mark(self, tmp_path, capsys, monkeypatch, command, via):
+        argv, text = self.INPUTS[command]
+        path = tmp_path / "input"
+        if via == "file":
+            argv = [str(path) if arg == "-" else arg for arg in argv]
+        outs = []
+        for spelling in (text, "\ufeff" + text):
+            path.write_text(spelling, encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", io.StringIO(spelling))
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] and outs[0] == outs[1]
+
+    def test_error_after_a_two_line_quoted_asset_names_the_physical_line(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text('date,asset,return\n2020-01,"X\ny",0.1\n2020-02,X,oops\n')
+        code, out, err = run_cli(capsys, ["strategy", "optimal", str(path), "--lookback", "1"])
+        assert (code, out) == (1, "")
+        assert "line 4: non-numeric return 'oops'" in err

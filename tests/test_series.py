@@ -2,6 +2,7 @@ import gc
 import io
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,8 +83,7 @@ class TestLoadPanelCsv:
         with pytest.raises(PanelParseError):
             load_panel_csv("timestamp,ticker,ret\n")
 
-    @pytest.mark.parametrize("source", [str, io.StringIO, str.splitlines],
-                             ids=["text", "file", "lines"])
+    @pytest.mark.parametrize("source", [str, io.StringIO], ids=["text", "file"])
     def test_byte_order_mark_is_dropped(self, source):
         panel = load_panel_csv(source("\ufeffdate,asset,return\n2020-01,X,0.5\n"))
         assert panel.returns == {("X", "2020-01"): 0.5}
@@ -93,6 +93,42 @@ class TestLoadPanelCsv:
             load_panel_csv("\ufeff\ufeffdate,asset,return\n")
         with pytest.raises(PanelParseError, match="missing header"):
             load_panel_csv(io.StringIO(""))
+
+
+class TestOneLineRule:
+    """A str and a text file follow the csv module's line rule alike."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ('date,asset,return\n2020-01,"X\ny",0.1\n', ["X\ny"]),
+        ("date,asset,return\n2020-01,X\x0bY,0.1\n", ["X\x0bY"]),
+        ("date,asset,return\n2020-01,X\u2028Y,0.1\n", ["X\u2028Y"]),
+        ("date,asset,return\n2020-01,X\x0cY,0.1\x85\n", ["X\x0cY"]),
+        ('"da\nte",asset,return\n2020-01,X,0.1\n', (PanelParseError, 1)),
+        ("date,asset,return,price\r2020-01,X,0.5,2\r2020-02,Y,-0.5,1\r", ["X", "Y"]),
+    ], ids=["quoted_newline", "vertical_tab", "line_separator", "form_feed", "quoted_header",
+            "lone_cr"])
+    def test_str_and_file_parse_alike(self, text, expected):
+        outcome = _outcome(text)
+        _assert_same_outcome(outcome, _outcome(io.StringIO(text, newline="")))
+        if isinstance(expected, list):
+            assert outcome.assets == expected
+        else:
+            assert type(outcome) is expected[0] and outcome.line_number == expected[1]
+
+    @pytest.mark.parametrize("text, line", [
+        ('date,asset,"return\n"\n2020-01,X,oops\n', 3),
+        ('date,asset,return\n2020-01,"X\nY",0.1\n2020-02,X,oops\n', 4),
+        ('date,asset,return\n2020-01,"X\nY",oops\n', 3),
+        ('date,asset,return\n2020-01,"X\nY",0.1\n2020-01,"X\nY",0.2\n', 5),
+        ('date,"asset\r\n",return\r\n2020-01,"X\r\nY",0.1\r\n2020-02,X,oops\r\n', 5),
+        ('date,asset,return\r2020-01,"X\rY",0.1\r2020-02,X\r', 4),
+    ], ids=["header", "field", "own_row", "duplicate", "crlf", "lone_cr"])
+    def test_errors_name_the_physical_line(self, text, line):
+        for source in (text, io.StringIO(text, newline="")):
+            with pytest.raises(PanelParseError) as exc:
+                load_panel_csv(source)
+            assert exc.value.line_number == line
+            assert str(exc.value).startswith(f"line {line}: ")
 
 
 class TestDirections:
@@ -280,8 +316,10 @@ class TestNonFiniteAndFastPath:
 
     def test_duplicate_reports_its_line(self):
         csv_text = "date,asset,return\n2020-01,AAA,0.5\n2020-02,AAA,0.5\n2020-01,AAA,0.1\n"
-        with pytest.raises(DuplicateRowError, match="line 4"):
+        with pytest.raises(DuplicateRowError) as exc:
             load_panel_csv(csv_text)
+        assert isinstance(exc.value, PanelParseError) and exc.value.line_number == 4
+        assert str(exc.value) == "line 4: duplicate row for asset 'AAA' at '2020-01'"
 
     def test_file_like_input(self):
         panel = load_panel_csv(io.StringIO("date,asset,return\n2020-01,AAA,0.5\n"))
@@ -411,6 +449,14 @@ def _outcome(source):
         return exc
 
 
+def _row_outcome(text):
+    """`_outcome` of `text` with the bulk parser declining, so the row parser reads it."""
+    from marketsolver import series
+
+    with mock.patch.object(series, "_parse_plain_lines", return_value=None):
+        return _outcome(text)
+
+
 def _assert_same_outcome(a, b):
     if isinstance(a, Exception) or isinstance(b, Exception):
         assert type(a) is type(b), (a, b)
@@ -470,8 +516,7 @@ class TestBulkAndRowParsersAgree:
     @settings(max_examples=400, deadline=None)
     @given(quote_free_panels())
     def test_random_quote_free_panels(self, text):
-        # a str goes through the bulk parser; a file object always row by row
-        _assert_same_outcome(_outcome(text), _outcome(io.StringIO(text)))
+        _assert_same_outcome(_outcome(text), _row_outcome(text))
 
     ONE_ASSET = "".join(
         f"{1000 + i // 12}-{i % 12 + 1:02d},X,{(i % 7 - 3) / 100!r},{10 + i % 5}.25\n"
@@ -493,14 +538,14 @@ class TestBulkAndRowParsersAgree:
     ], ids=["unsorted_assets", "interleaved_assets", "repeated_months", "reversed_months", "hole", "duplicate"])
     def test_rows_out_of_grid_order_are_placed_by_key(self, body):
         text = "date,asset,return\n" + body
-        _assert_same_outcome(_outcome(text), _outcome(io.StringIO(text)))
+        _assert_same_outcome(_outcome(text), _row_outcome(text))
 
     @pytest.mark.parametrize("body", [ONE_ASSET, SHUFFLED], ids=["in_order", "shuffled"])
     def test_spellings_stay_on_the_bulk_path(self, body, monkeypatch):
         from marketsolver import series
 
         plain = "date,asset,return,price\n" + body
-        expected = load_panel_csv(io.StringIO(plain))
+        expected = _row_outcome(plain)
 
         def refuse(rows, has_price_col):
             raise AssertionError("the row parser was used")
@@ -517,6 +562,7 @@ class TestBulkAndRowParsersAgree:
             'date,asset,return,"price\n"\n' + body,  # a quoted header spanning two lines
             "\ufeff" + plain,
             "\ufeff" + crlf + "\r\n",
+            io.StringIO(plain),
         ]
         for text in spellings:
             _assert_same_outcome(load_panel_csv(text), expected)
