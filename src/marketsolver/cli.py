@@ -2,9 +2,8 @@
 
 Subcommands wire the library into reproducible experiments: strategy
 search on a CSV panel, knapsack solving and both reduction directions,
-CNF encoding/solving/verification on the simulated market, momentum
-backtests and reports, and the scaling benchmark contrasting exhaustive
-strategy search with the linear-pass optimum.
+CNF encoding/solving/verification on the simulated market, and momentum
+backtests and reports.
 
 Results go to stdout as JSON (CSV where noted); diagnostics to stderr.
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -16,34 +15,23 @@ import argparse
 import json
 import math
 import sys
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import knapsack_bridge, momentum, sat_market, series, strategy_search
-from .errors import CapacityError, MarketSolverError, WitnessFormatError
-
-BENCH_SERIES_LENGTH = 512
-BENCH_SEED = 20240131
-
-
-@dataclass
-class BenchRecord:
-    """One benchmark row; work units are counted, never estimated."""
-
-    task: str
-    parameter: int
-    work_units: int
-    wall_time: float
-    error: Optional[str] = None
+from .errors import MarketSolverError, WitnessFormatError
 
 
 def _read_text(path: str) -> str:
-    """The text of a file, or of stdin for "-", less one leading byte-order mark."""
+    """The UTF-8 text of a file, or of stdin for "-", less one leading byte-order mark.
+
+    Line ends are left as they are, so a quoted CSV field keeps its CR/LF
+    exactly as the library reads it from a file opened with newline="".
+    """
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     return text.removeprefix(series.BOM)
 
@@ -250,106 +238,6 @@ def _cmd_momentum(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- bench
-
-
-def bench_strategies(
-    t_values: Sequence[int],
-    n: int = BENCH_SERIES_LENGTH,
-    seed: int = BENCH_SEED,
-) -> list[BenchRecord]:
-    """Exhaustive-search cost per lookback, plus linear-scan reference rows.
-
-    For each t, run the exhaustive search on one fixed seeded series and
-    record the exact number of strategies evaluated. Then run the
-    single-pass optimum at n and 2n, recording the exact periods scanned.
-    Guard violations become error rows; the run continues.
-    """
-    records: list[BenchRecord] = []
-    srs = series.gen_random_walk(n, 0.5, seed)
-    for t in t_values:
-        counter = strategy_search.WorkCounter()
-        start = time.perf_counter()
-        try:
-            strategy_search.brute_force_best(srs, t, counter=counter)
-        except CapacityError as exc:
-            records.append(
-                BenchRecord(
-                    task="brute_force",
-                    parameter=t,
-                    work_units=0,
-                    wall_time=0.0,
-                    error=str(exc),
-                )
-            )
-            continue
-        elapsed = time.perf_counter() - start
-        records.append(
-            BenchRecord(
-                task="brute_force",
-                parameter=t,
-                work_units=counter.strategies_evaluated,
-                wall_time=elapsed,
-            )
-        )
-    for length in (n, 2 * n):
-        scan_series = series.gen_random_walk(length, 0.5, seed)
-        counter = strategy_search.WorkCounter()
-        start = time.perf_counter()
-        strategy_search.optimal_strategy(scan_series, 3, counter=counter)
-        elapsed = time.perf_counter() - start
-        records.append(
-            BenchRecord(
-                task="optimal_scan",
-                parameter=length,
-                work_units=counter.periods_scanned,
-                wall_time=elapsed,
-            )
-        )
-    return records
-
-
-def verify_scaling(n: int = 10_000, seed: int = BENCH_SEED, repeats: int = 5) -> dict:
-    """Check the linear-pass claim: scans == n, doubling n at most doubles time.
-
-    Wall times take the minimum over `repeats` runs to damp scheduler
-    noise; the scan counters are exact.
-    """
-    out = {"runs": [], "wall_time_ratio": None}
-    timings = []
-    for length in (n, 2 * n):
-        srs = series.gen_random_walk(length, 0.5, seed)
-        counter = strategy_search.WorkCounter()
-        best = None
-        for _ in range(repeats):
-            single = strategy_search.WorkCounter()
-            start = time.perf_counter()
-            strategy_search.optimal_strategy(srs, 3, counter=single)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        strategy_search.optimal_strategy(srs, 3, counter=counter)
-        out["runs"].append(
-            {
-                "n": length,
-                "periods_scanned": counter.periods_scanned,
-                "wall_time": best,
-            }
-        )
-        timings.append(best)
-    out["wall_time_ratio"] = timings[1] / timings[0] if timings[0] > 0 else None
-    return out
-
-
-def _cmd_bench(args) -> int:
-    if args.action == "strategies":
-        t_values = [int(x) for x in args.t.split(",") if x.strip()]
-        records = bench_strategies(t_values, seed=args.seed)
-        _emit([asdict(r) for r in records])
-    else:  # verify-scaling
-        _emit(verify_scaling(n=args.n, seed=args.seed))
-    return 0
-
-
 # ------------------------------------------------------------------ parser
 
 
@@ -402,14 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--persistence", type=float, default=0.0)
     p_mom.add_argument("--seed", type=int, default=0)
     p_mom.set_defaults(func=_cmd_momentum)
-
-    p_bench = sub.add_parser("bench", help="work-unit and wall-time scaling")
-    p_bench.add_argument("action", choices=["strategies", "verify-scaling"])
-    p_bench.add_argument("--t", default="2,3",
-                         help="comma-separated lookbacks (strategies)")
-    p_bench.add_argument("--n", type=_positive_int, default=10_000)
-    p_bench.add_argument("--seed", type=int, default=BENCH_SEED)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, InstanceFormatError, QuantizationError
-from .series import PriceSeries
+from .series import PriceSeries, load_panel_csv
 from .strategy_search import LONG, MAX_TABLE_BITS, OUT, TechnicalStrategy, _tradable
 
 MAX_BRUTE_ITEMS = 25
@@ -518,8 +518,6 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
     The sidecar's lookback, budget and target must be JSON integers and
     its tick a positive, finite JSON number.
     """
-    from .series import load_panel_csv
-
     lookback, budget, target = (
         _json_int(sidecar, key, "sidecar") for key in ("lookback", "budget", "target")
     )

@@ -388,7 +388,11 @@ def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:
     # a CRLF line keeps its CR, which strip and float ignore. A NUL, which
     # the csv module refuses before Python 3.11, is left to the reader.
     if "\x00" not in text and ("\r" not in text or text.count("\r") == text.count("\r\n")):
-        body = text.split("\n")[reader.line_num :]
+        # the reader's buffer holds the text at up to 4 bytes a character;
+        # free it before the split, and rebuild a reader only if needed
+        header_lines = reader.line_num
+        del reader
+        body = text.split("\n")[header_lines:]
         if body and not body[-1]:  # the piece after the last line end
             body.pop()
         # Without quotes each line splits exactly at its commas, so the
@@ -397,6 +401,8 @@ def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:
             panel = _parse_plain_lines(body, has_price_col)
             if panel is not None:
                 return panel
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)  # the header, checked above
     return _parse_rows(reader, has_price_col)
 
 

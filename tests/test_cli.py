@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from marketsolver.cli import bench_strategies, main, verify_scaling
+from marketsolver.cli import main
 
 EXAMPLE_DIMACS = "p cnf 4 2\n1 2 -3 0\n1 -2 4 0\n"
 
@@ -25,6 +25,11 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdin_of(text):
+    """A stand-in for sys.stdin: UTF-8 bytes under a text layer, as the real one is."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 class TestUsage:
@@ -341,39 +346,6 @@ class TestMomentumCommands:
         assert len(out.splitlines()) == 3
 
 
-class TestBench:
-    def test_strategy_counts_are_exact(self):
-        records = bench_strategies([2, 3], n=64, seed=1)
-        by_param = {r.parameter: r for r in records if r.task == "brute_force"}
-        assert by_param[2].work_units == 16
-        assert by_param[3].work_units == 256
-
-    def test_guard_violation_becomes_an_error_row(self):
-        records = bench_strategies([5], n=32, seed=1)
-        row = [r for r in records if r.task == "brute_force"][0]
-        assert row.error is not None
-        # the linear-scan rows still ran
-        assert any(r.task == "optimal_scan" for r in records)
-
-    def test_scan_counts_match_series_length(self):
-        records = bench_strategies([2], n=100, seed=1)
-        scans = {r.parameter: r.work_units for r in records if r.task == "optimal_scan"}
-        assert scans == {100: 100, 200: 200}
-
-    def test_verify_scaling_counters(self):
-        out = verify_scaling(n=2000, repeats=2)
-        assert [run["periods_scanned"] for run in out["runs"]] == [2000, 4000]
-        assert out["wall_time_ratio"] > 0
-
-    def test_cli_bench_strategies(self, capsys):
-        code = main(["bench", "strategies", "--t", "2,3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        records = json.loads(out)
-        brute = [r for r in records if r["task"] == "brute_force"]
-        assert [r["work_units"] for r in brute] == [16, 256]
-
-
 class TestHardening:
     @pytest.mark.parametrize(
         "argv",
@@ -387,7 +359,7 @@ class TestHardening:
             ["momentum", "backtest", "-", "--skip", "-1"],
             ["momentum", "gen", "--assets", "0"],
             ["momentum", "gen", "--months", "-3"],
-            ["bench", "verify-scaling", "--n", "0"],
+            ["bench", "strategies"],
             ["strategy", "optimal", "-", "--lookback", "two"],
         ],
     )
@@ -593,7 +565,7 @@ class TestInputText:
         outs = []
         for spelling in (text, "\ufeff" + text):
             path.write_text(spelling, encoding="utf-8")
-            monkeypatch.setattr("sys.stdin", io.StringIO(spelling))
+            monkeypatch.setattr("sys.stdin", stdin_of(spelling))
             code, out, err = run_cli(capsys, argv)
             assert (code, err) == (0, "")
             outs.append(out)
@@ -605,3 +577,25 @@ class TestInputText:
         code, out, err = run_cli(capsys, ["strategy", "optimal", str(path), "--lookback", "1"])
         assert (code, out) == (1, "")
         assert "line 4: non-numeric return 'oops'" in err
+
+    @pytest.mark.parametrize("via", ["stdin", "file"])
+    def test_a_quoted_line_end_reaches_the_library_unchanged(self, tmp_path, capsys, monkeypatch, via):
+        from marketsolver import series, strategy_search
+
+        asset = "X\r\nY"
+        text = "date,asset,return\r\n" + "".join(
+            f'2020-{m:02d},"{asset}",{r}\r\n'
+            for m, r in enumerate([0.5, -0.5, 0.5, 0.5, -0.5, 0.5], start=1)
+        )
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", newline="") as fh:
+            panel = series.load_panel_csv(fh)
+        assert panel.assets == [asset]
+        strat, profit = strategy_search.optimal_strategy(panel.series_for(asset, synthesis="auto"), 1)
+
+        monkeypatch.setattr("sys.stdin", stdin_of(text))
+        source = "-" if via == "stdin" else str(path)
+        code, out, err = run_cli(capsys, ["strategy", "optimal", source, "--lookback", "1", "--asset", asset])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"strategy": json.loads(strat.to_json()), "profit": profit}

@@ -580,3 +580,29 @@ class TestBulkAndRowParsersAgree:
         monkeypatch.setattr(series, "_parse_rows", counted)
         panel = load_panel_csv('"date",asset,return\n2020-01,"X",0.5\n')
         assert calls == [False] and panel.returns == {("X", "2020-01"): 0.5}
+
+    def test_reader_buffer_is_freed_before_the_bulk_parse(self, monkeypatch):
+        # the csv reader's StringIO holds the text at up to 4 bytes a
+        # character, so it must not stay alive next to the split lines
+        from marketsolver import series
+
+        buffers = []
+        string_io = io.StringIO
+
+        def tracked(*args, **kwargs):
+            buffer = string_io(*args, **kwargs)
+            buffers.append(weakref.ref(buffer))
+            return buffer
+
+        bulk_parser = series._parse_plain_lines
+        live = []
+
+        def checked(lines, has_price_col):
+            live.append(sum(ref() is not None for ref in buffers))
+            return bulk_parser(lines, has_price_col)
+
+        monkeypatch.setattr(io, "StringIO", tracked)
+        monkeypatch.setattr(series, "_parse_plain_lines", checked)
+        panel = load_panel_csv("date,asset,return,price\n" + self.ONE_ASSET)
+        assert len(panel.months) == 600
+        assert buffers and live == [0]
