@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapacityError, InstanceFormatError, QuantizationError
-from .series import PriceSeries, load_panel_csv
+from . import series
+from .series import PriceSeries
 from .strategy_search import LONG, MAX_TABLE_BITS, OUT, TechnicalStrategy, _tradable
 
 MAX_BRUTE_ITEMS = 25
@@ -497,11 +498,11 @@ def write_scenario_csv(sc: MultiAssetScenario) -> tuple[str, dict]:
     n = len(sc.assets[0])
     months = [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(n)]
     lines = ["date,asset,return,price"]
-    for a_idx, series in enumerate(sc.assets):
+    for a_idx, asset in enumerate(sc.assets):
         name = f"A{a_idx:04d}"
         lines.extend(
             f"{month},{name},{r!r},{p!r}"
-            for month, r, p in zip(months, series.returns.tolist(), series.prices.tolist())
+            for month, r, p in zip(months, asset.returns.tolist(), asset.prices.tolist())
         )
     sidecar = {
         "lookback": sc.lookback,
@@ -531,7 +532,7 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
             f"got {json.dumps(tick)}"
         )
 
-    panel = load_panel_csv(csv_text)
+    panel = series.load_panel_csv(csv_text)
     no_prices = np.full(len(panel.months), np.nan)
     assets = []
     for i, name in enumerate(panel.assets):

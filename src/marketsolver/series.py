@@ -30,8 +30,8 @@ from .errors import CapacityError, DuplicateRowError, InvalidWindowError, PanelP
 DEFAULT_START_PRICE = 100.0
 # Context codes live in int64 arrays, so a window holds at most 63 bits.
 MAX_CONTEXT_BITS = 63
-# Lines the bulk CSV parser splits at a time.
-PARSE_CHUNK_LINES = 4096
+# Characters of CSV body the bulk parser splits at a time, cut at a line end.
+PARSE_CHUNK_CHARS = 1 << 16
 # Dense panel cap: assets x months cells, 8 bytes per cell per array.
 MAX_PANEL_CELLS = 50_000_000
 # The byte-order mark some editors write at the start of a UTF-8 file.
@@ -372,7 +372,8 @@ def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:
     date) rows and non-finite numbers, naming the 1-based physical line a
     malformed row ends on. Blank rows are skipped. A header-only input
     yields an empty panel. Assets and months are sorted; a panel beyond
-    MAX_PANEL_CELLS dense cells raises CapacityError.
+    MAX_PANEL_CELLS dense cells raises CapacityError. Rows may come in any
+    order; quote-free rows in asset- or date-major blocks need no scatter.
     """
     text = (source if isinstance(source, str) else source.read()).removeprefix(BOM)
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -389,16 +390,15 @@ def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:
     # the csv module refuses before Python 3.11, is left to the reader.
     if "\x00" not in text and ("\r" not in text or text.count("\r") == text.count("\r\n")):
         # the reader's buffer holds the text at up to 4 bytes a character;
-        # free it before the split, and rebuild a reader only if needed
-        header_lines = reader.line_num
+        # free it before the bulk parse, and rebuild a reader only if needed
+        start = 0
+        for _ in range(reader.line_num):  # the body starts after the header's lines
+            start = text.find("\n", start) + 1 or len(text)
         del reader
-        body = text.split("\n")[header_lines:]
-        if body and not body[-1]:  # the piece after the last line end
-            body.pop()
         # Without quotes each line splits exactly at its commas, so the
         # body can be split column-wise in bulk.
-        if '"' not in text or not any(map(operator.contains, body, itertools.repeat('"'))):
-            panel = _parse_plain_lines(body, has_price_col)
+        if text.find('"', start) < 0:
+            panel = _parse_plain_body(text, start, has_price_col)
             if panel is not None:
                 return panel
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -406,60 +406,67 @@ def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:
     return _parse_rows(reader, has_price_col)
 
 
-def _parse_plain_lines(lines: list[str], has_price_col: bool):
-    """Column-at-a-time parse of quote-free lines, or None if any is irregular.
+def _parse_plain_body(text: str, start: int, has_price_col: bool):
+    """Column-at-a-time parse of the quote-free lines of `text[start:]`, or None.
 
     Handles the common case (every non-blank line has the same field
     count, no blank fields, finite numbers, no duplicate keys) with no
     per-row Python code, and puts the numbers straight into the dense
     arrays. Otherwise it returns None and `_parse_rows` reads the lines
     one by one, so it alone decides what to skip and which line to blame.
-    Lines are split, and removed from `lines`, a chunk at a time, so
-    neither all lines nor all number fields stay alive at once.
-    """
-    widths = set(map(str.count, lines, itertools.repeat(",")))
-    if len(widths) > 1:
-        # drop the lines `_parse_rows` skips, those whose fields are all blank
-        lines[:] = [line for line in lines if line.replace(",", "").strip()]
-        widths = set(map(str.count, lines, itertools.repeat(",")))
-    if len(widths) != 1:
-        return None
-    width = widths.pop() + 1
-    if width < 3:
-        return None
-    with_prices = has_price_col and width >= 4
-    dates: list[str] = []
-    names: list[str] = []
-    rets: list[float] = []
-    levels: list[float] = []
-    while lines:
-        fields = ",".join(lines[:PARSE_CHUNK_LINES]).split(",")
-        del lines[:PARSE_CHUNK_LINES]
-        dates += map(str.strip, fields[0::width])
-        names += map(str.strip, fields[1::width])
+    The body is never copied whole: it is split once per PARSE_CHUNK_CHARS
+    characters, and rows in blocks are recognised on the raw fields."""
+    dates, names, rets, levels = [], [], [], []
+    width = None
+    while start < len(text):
+        stop = text.find("\n", start + PARSE_CHUNK_CHARS) + 1 or len(text)
+        chunk, start = text[start:stop], stop
+        if not chunk.endswith("\n"):
+            chunk += "\n"
+        fields = _line_fields(chunk, width or chunk.count(",", 0, chunk.index("\n")) + 1)
+        if fields is None:
+            # drop the lines `_parse_rows` skips, those whose fields are all blank
+            kept = [line for line in chunk.split("\n") if line.replace(",", "").strip()]
+            if not kept:
+                continue
+            fields = _line_fields("\n".join(kept) + "\n", width or kept[0].count(",") + 1)
+            if fields is None:
+                return None
+        width = fields.index("\n")
+        if width < 3:
+            return None
+        step, with_prices = width + 1, has_price_col and width >= 4
+        dates += fields[0::step]
+        names += fields[1::step]
         try:
-            rets += map(float, fields[2::width])
+            rets.append(np.fromiter(map(float, fields[2::step]), np.float64))
             if with_prices:
-                levels += map(float, fields[3::width])
+                levels.append(np.fromiter(map(float, fields[3::step]), np.float64))
         except ValueError:  # also a blank price, which the row parser skips
             return None
-    if "" in dates or "" in names:
+    if width is None:
         return None
-    columns = [np.array(rets)] + ([np.array(levels)] if with_prices else [])
+    columns = [np.concatenate(rets)] + ([np.concatenate(levels)] if with_prices else [])
     if not all(np.isfinite(col).all() for col in columns):
         return None
-    labels = _grid_order_labels(names, dates)
-    in_grid_order = labels is not None
-    if not in_grid_order:
+    # Rows in blocks need no scatter: each column is its array, in C order
+    # (asset-major) or Fortran order (date-major), and no key can repeat.
+    labels, order = _block_labels(names, dates), "C"
+    if labels is None and (labels := _block_labels(dates, names)) is not None:
+        labels, order = labels[::-1], "F"
+    if labels is None:
+        names, dates = list(map(str.strip, names)), list(map(str.strip, dates))
+        if "" in dates or "" in names:
+            return None
         # Deduplicating in arrival order keeps sorted input sorted, so the
         # sort is one linear pass on time-ordered files.
-        labels = sorted(dict.fromkeys(names)), sorted(dict.fromkeys(dates))
+        labels, order = (sorted(dict.fromkeys(names)), sorted(dict.fromkeys(dates))), None
     assets, months = labels
     shape = (len(assets), len(months))
     _check_panel_size(*shape)
     row = dict(zip(assets, itertools.count()))
-    if in_grid_order:  # each column already is its array, and no key can repeat
-        grids = [values.reshape(shape) for values in columns]
+    if order:
+        grids = [np.ascontiguousarray(values.reshape(shape, order=order)) for values in columns]
     else:
         col = dict(zip(months, itertools.count()))
         cell = np.fromiter(map(row.__getitem__, names), np.intp, len(names)) * len(months)
@@ -473,30 +480,38 @@ def _parse_plain_lines(lines: list[str], has_price_col: bool):
             return None  # a duplicate (asset, date) key
     for grid in grids:
         grid.setflags(write=False)
-    return PanelData._from_parser(
-        assets, months, row, grids[0], grids[1] if with_prices else None
-    )
+    return PanelData._from_parser(assets, months, row, grids[0], grids[1] if with_prices else None)
 
 
-def _grid_order_labels(names: list[str], dates: list[str]):
-    """The (assets, months) of rows that run in the panel's own cell order, else None.
-
-    That order is asset by asset, in increasing order, each over the same
-    increasing months, so row k is cell k of the assets x months grid. The
-    labels are then read off the rows with comparisons alone.
-    """
-    try:  # in that order the first month comes round again with the second asset
-        n_months = dates.index(dates[0], 1)
-    except ValueError:
-        n_months = len(dates)
-    assets, months = names[::n_months], dates[:n_months]
-    if not (_increasing(assets) and _increasing(months)):
+def _line_fields(chunk: str, width: int):
+    """The fields of `chunk`, which ends at a line end, with a "\\n" field
+    after each line; None unless every line has exactly `width` fields."""
+    fields = chunk.replace("\n", ",\n,").split(",")
+    lines = chunk.count("\n")
+    # the line ends are all at every (width + 1)-th field, and only there
+    if len(fields) != lines * (width + 1) + 1 or fields[width :: width + 1].count("\n") != lines:
         return None
-    each_asset_in_turn = itertools.chain.from_iterable(
-        map(itertools.repeat, assets, itertools.repeat(n_months))
-    )
-    if dates == months * len(assets) and names == list(each_asset_in_turn):
-        return assets, months
+    fields.pop()  # the empty piece after the last line end
+    return fields
+
+
+def _block_labels(outer: list[str], inner: list[str]):
+    """The stripped (outer, inner) labels of rows that run in blocks, else None.
+
+    Each block is one outer label over the same inner labels, both strictly
+    increasing, so row k is cell k of the outer x inner grid. The raw
+    fields are compared, so only the distinct labels are stripped."""
+    size = outer.count(outer[0])
+    blocks, rest = divmod(len(outer), size)
+    # one block is all one outer label, as the count shows
+    if rest or blocks > 1 and (inner != inner[:size] * blocks or outer != list(
+        itertools.chain.from_iterable(map(itertools.repeat, outer[::size], itertools.repeat(size)))
+    )):
+        return None
+    heads, block = list(map(str.strip, outer[::size])), list(map(str.strip, inner[:size]))
+    # "" sorts first, so strictly increasing labels are non-empty if the first is
+    if heads[0] and block[0] and _increasing(heads) and _increasing(block):
+        return heads, block
     return None
 
 

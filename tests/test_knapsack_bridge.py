@@ -306,6 +306,22 @@ class TestScenarioSerialization:
             assert orig.prices.tolist() == rebuilt.prices.tolist()
         assert decide_q4(back)[0] == decide_q4(sc)[0]
 
+    def test_csv_is_read_through_the_series_module(self, monkeypatch):
+        # the benchmark's tracer times the parse by patching series.load_panel_csv
+        from marketsolver import series
+
+        calls = []
+        parse = series.load_panel_csv
+
+        def spy(text):
+            calls.append(len(text))
+            return parse(text)
+
+        monkeypatch.setattr(series, "load_panel_csv", spy)
+        csv_text, sidecar = write_scenario_csv(knapsack_to_scenario(EXAMPLE))
+        read_scenario_csv(csv_text, sidecar)
+        assert calls == [len(csv_text)]
+
     def test_instance_json_round_trip(self):
         assert KnapsackInstance.from_json(EXAMPLE.to_json()) == EXAMPLE
 

@@ -453,7 +453,7 @@ def _row_outcome(text):
     """`_outcome` of `text` with the bulk parser declining, so the row parser reads it."""
     from marketsolver import series
 
-    with mock.patch.object(series, "_parse_plain_lines", return_value=None):
+    with mock.patch.object(series, "_parse_plain_body", return_value=None):
         return _outcome(text)
 
 
@@ -489,6 +489,7 @@ def quote_free_panels(draw):
     grid = [(a, m) for a in sorted(assets) for m in months]
     keys = draw(st.one_of(
         st.just(grid),  # every cell, in the panel's own order
+        st.just(sorted(grid, key=lambda key: key[::-1])),  # every cell, date by date
         st.permutations(grid),
         st.lists(st.tuples(st.sampled_from(assets), st.sampled_from(months)), max_size=25),
     ))
@@ -516,7 +517,13 @@ class TestBulkAndRowParsersAgree:
     @settings(max_examples=400, deadline=None)
     @given(quote_free_panels())
     def test_random_quote_free_panels(self, text):
-        _assert_same_outcome(_outcome(text), _row_outcome(text))
+        from marketsolver import series
+
+        expected = _row_outcome(text)
+        _assert_same_outcome(_outcome(text), expected)
+        # chunks of a line or two: widths, blank lines and labels across chunk ends
+        with mock.patch.object(series, "PARSE_CHUNK_CHARS", 8):
+            _assert_same_outcome(_outcome(text), expected)
 
     ONE_ASSET = "".join(
         f"{1000 + i // 12}-{i % 12 + 1:02d},X,{(i % 7 - 3) / 100!r},{10 + i % 5}.25\n"
@@ -567,6 +574,58 @@ class TestBulkAndRowParsersAgree:
         for text in spellings:
             _assert_same_outcome(load_panel_csv(text), expected)
 
+    @pytest.mark.parametrize("body, line", [
+        ("2020-01,X,0.1\n2020-02,X,Y,0.2\n2020-03,X0.3\n", 3),
+        ("2020-01,X,0.1\n2020-02,X,Y,0.2\n\n2020-03,X0.3\n", 3),
+        # the fourth field is never read, so a split shifted by a field would parse
+        ("2020-01,X,0.1,a\n2020-02,X,0.2\n2020-03,X,0.3,7,c\n", None),
+        # one line with the fields of two, its line end where a line's would be
+        ("2020-01,X,0.1\n2020-02,X,0.2,2020-03,X,0.3,7\n", None),
+    ], ids=["adjacent", "blank_line_between", "unread_field", "two_lines_in_one"])
+    def test_offsetting_field_counts_reach_the_row_parser(self, body, line, monkeypatch):
+        # an extra comma on one line and a missing one on another keep the
+        # chunk's field count right; the line ends are out of place
+        from marketsolver import series
+
+        text = "date,asset,return\n" + body
+        expected = _row_outcome(text)
+        assert getattr(expected, "line_number", None) == line
+        calls = []
+        row_parser = series._parse_rows
+
+        def counted(rows, has_price_col):
+            calls.append(has_price_col)
+            return row_parser(rows, has_price_col)
+
+        monkeypatch.setattr(series, "_parse_rows", counted)
+        _assert_same_outcome(_outcome(text), expected)
+        assert calls == [False]
+
+    GRID = {(asset, 1999 + m): f"{(m * 7 + len(asset)) % 9 - 4}e-2,{m + 2}.5"
+            for asset in ["AA", "B", "C7"] for m in range(30)}
+
+    @pytest.mark.parametrize("order, bulk", [
+        (sorted(GRID), True),
+        (sorted(GRID, key=lambda key: key[::-1]), True),
+        (sorted(GRID, key=lambda key: (key[1] * 7919) % 89 + ord(key[0][-1])), False),
+    ], ids=["asset_major", "date_major", "shuffled"])
+    def test_row_orders_give_one_panel(self, order, bulk, monkeypatch):
+        from marketsolver import series
+
+        text = "date,asset,return,price\n" + "".join(
+            f"{year}-06,{asset},{self.GRID[asset, year]}\n" for asset, year in order
+        )
+        expected = _row_outcome("date,asset,return,price\n" + "".join(
+            f"{year}-06,{asset},{self.GRID[asset, year]}\n" for asset, year in sorted(self.GRID)
+        ))
+        if bulk:
+            monkeypatch.setattr(series, "_parse_rows", mock.Mock(side_effect=AssertionError))
+        _assert_same_outcome(load_panel_csv(text), expected)
+        # one label spelled with padding is no block; it is scattered by key
+        padded = text.replace("\n1999-06,B,", "\n1999-06, B,", 1)
+        _assert_same_outcome(load_panel_csv(padded), expected)
+        assert load_panel_csv(text).return_matrix.flags.c_contiguous
+
     def test_quotes_in_the_body_use_the_row_parser(self, monkeypatch):
         from marketsolver import series
 
@@ -583,7 +642,7 @@ class TestBulkAndRowParsersAgree:
 
     def test_reader_buffer_is_freed_before_the_bulk_parse(self, monkeypatch):
         # the csv reader's StringIO holds the text at up to 4 bytes a
-        # character, so it must not stay alive next to the split lines
+        # character, so it must not stay alive through the bulk parse
         from marketsolver import series
 
         buffers = []
@@ -594,15 +653,15 @@ class TestBulkAndRowParsersAgree:
             buffers.append(weakref.ref(buffer))
             return buffer
 
-        bulk_parser = series._parse_plain_lines
+        bulk_parser = series._parse_plain_body
         live = []
 
-        def checked(lines, has_price_col):
+        def checked(text, start, has_price_col):
             live.append(sum(ref() is not None for ref in buffers))
-            return bulk_parser(lines, has_price_col)
+            return bulk_parser(text, start, has_price_col)
 
         monkeypatch.setattr(io, "StringIO", tracked)
-        monkeypatch.setattr(series, "_parse_plain_lines", checked)
+        monkeypatch.setattr(series, "_parse_plain_body", checked)
         panel = load_panel_csv("date,asset,return,price\n" + self.ONE_ASSET)
         assert len(panel.months) == 600
         assert buffers and live == [0]
