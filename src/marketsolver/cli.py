@@ -177,7 +177,7 @@ def _parse_witness(text: str, num_vars: int) -> dict[int, bool]:
 def _cmd_sat(args) -> int:
     formula = sat_market.parse_dimacs(_read_text(args.file))
     if args.action == "encode":
-        state = sat_market.MarketState.default_for(formula.num_vars)
+        state = sat_market.MarketState.for_formula(formula)
         groups = sat_market.encode_market(formula, state)
         _emit(
             [

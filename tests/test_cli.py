@@ -223,6 +223,27 @@ class TestSatCommands:
         assert len(groups) == 2
         assert [o["side"] for o in groups[0]["orders"]] == ["BUY", "BUY", "SELL"]
 
+    def test_encode_quotes_only_the_securities_in_use(self, tmp_path, capsys, monkeypatch):
+        from marketsolver import sat_market
+
+        quotes = []
+
+        class CountedQuote(sat_market.Quote):
+            def __post_init__(self):
+                quotes.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(sat_market, "Quote", CountedQuote)
+        small, large = tmp_path / "small.cnf", tmp_path / "large.cnf"
+        small.write_text("p cnf 3 1\n1 2 3 0\n")
+        large.write_text("p cnf 100000 1\n1 2 3 0\n")
+        _, expected, _ = run_cli(capsys, ["sat", "encode", str(small)])
+        quotes.clear()
+        code, out, _ = run_cli(capsys, ["sat", "encode", str(large)])
+        assert code == 0
+        assert out == expected
+        assert len(quotes) == 3
+
     def test_solve_reports_sat_with_witness(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text(EXAMPLE_DIMACS)

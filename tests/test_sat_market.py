@@ -1,10 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marketsolver.sat_market as sat_market
 from marketsolver import (
     CapacityError,
     ClauseArityError,
@@ -116,6 +118,122 @@ class TestParseDimacs:
     def test_format_round_trip(self):
         f = parse_dimacs(EXAMPLE_DIMACS)
         assert parse_dimacs(format_dimacs(f)) == f
+
+
+def _dimacs_outcome(text):
+    """The formula `parse_dimacs` makes of `text`, or the exception it raises."""
+    try:
+        return parse_dimacs(text)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _line_walk_outcome(text):
+    """`_dimacs_outcome` of `text` with the bulk reader declining every body."""
+    with mock.patch.object(sat_market, "_parse_plain_clauses", return_value=None):
+        return _dimacs_outcome(text)
+
+
+def _bulk_outcome(text):
+    """`_dimacs_outcome` of `text`, and what each call of the bulk reader returned."""
+    real = sat_market._parse_plain_clauses
+    returned = []
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    with mock.patch.object(sat_market, "_parse_plain_clauses", recording):
+        return _dimacs_outcome(text), returned
+
+
+def _assert_same_dimacs_outcome(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert (type(a), str(a)) == (type(b), str(b))
+    else:
+        assert a == b
+
+
+@st.composite
+def dimacs_spellings(draw):
+    """DIMACS text with the irregularities the line walk tolerates or names."""
+    num_vars = draw(st.integers(1, 6))
+    num_clauses = draw(st.integers(0, 6))
+    clauses = [
+        [draw(st.sampled_from(["{}", "-{}", "+{}", "0{}"])).format(draw(st.integers(1, num_vars)))
+         for _ in range(3)] + ["0"]
+        for _ in range(num_clauses)
+    ]
+    declared = num_clauses
+    for fault in draw(st.lists(st.sampled_from(
+        ["short", "long", "beyond", "no_zero", "odd_zero", "bad_token", "count"]), max_size=2)):
+        clause = draw(st.sampled_from(clauses)) if clauses else None
+        if fault == "count":
+            declared = max(0, declared + draw(st.sampled_from([1, -1])))
+        elif clause is None:
+            continue
+        elif fault == "short":
+            del clause[0]
+        elif fault == "long":
+            clause.insert(0, "1")
+        elif fault == "beyond":
+            clause[draw(st.integers(0, 2))] = str(-num_vars - 1)
+        elif fault == "no_zero":
+            clause.pop()
+        elif fault == "odd_zero":
+            clause[-1] = draw(st.sampled_from(["-0", "00", "+0"]))
+        else:
+            clause[draw(st.integers(0, len(clause) - 1))] = draw(st.sampled_from(["x", "1-2", "--1"]))
+    words = [word for clause in clauses for word in clause]
+    # clauses split over lines, or several on one line
+    lines = []
+    while words:
+        take = draw(st.integers(1, 8))
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(words[:take]))
+        words = words[take:]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", "  ", "\t", "c a comment", "c", " c indented", "p cnf 1 1"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.integers(0, 3)) == 0:
+        lines += ["%", "0"]
+    preamble = draw(st.sampled_from([[], ["c uf"], ["", "c two", "c lines"]]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = preamble + [f"p cnf {num_vars} {declared}"] + lines
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestBulkReaderAndLineWalkAgree:
+    @settings(max_examples=500, deadline=None)
+    @given(dimacs_spellings())
+    def test_random_spellings(self, text):
+        _assert_same_dimacs_outcome(_dimacs_outcome(text), _line_walk_outcome(text))
+
+    @pytest.mark.parametrize("text", [
+        EXAMPLE_DIMACS,
+        "c uf\r\np cnf 4 2\r\n\t1 +2 -3 0 1\r\n-2  04 0\r\n\r\n",
+        "p cnf 1 0\n",
+    ], ids=["plain", "crlf_tabs_and_split_clauses", "no_clauses"])
+    def test_plain_bodies_take_the_bulk_reader(self, text):
+        outcome, returned = _bulk_outcome(text)
+        assert outcome == _line_walk_outcome(text)
+        assert len(returned) == 1 and returned[0] is not None
+
+    @pytest.mark.parametrize("text", [
+        "p cnf 4 2\n1 2 -3 0\nc late comment\n1 -2 4 0\n",
+        "p cnf 3 2\n 1 -2 3 0\n-1 2 3 0\n%\n0\n",
+        "p cnf 2 1\n1 2 0 0\n",
+        "p cnf 2 1\n1 2 -0 1 0\n",
+        "p cnf 2 1\n1 2 3 0\n",
+        "p cnf 2 2\n1 2 -1 0\n",
+        "p cnf 2 1\n1 2 -1\n",
+        "p cnf 2 1\n1 2 -1 0\np cnf 2 1\n",
+    ], ids=["comment", "percent", "short", "minus_zero", "beyond_header",
+            "count", "missing_zero", "second_header"])
+    def test_other_bodies_are_left_to_the_line_walk(self, text):
+        outcome, returned = _bulk_outcome(text)
+        _assert_same_dimacs_outcome(outcome, _line_walk_outcome(text))
+        assert returned == [None]
 
 
 class TestEncodeMarket:

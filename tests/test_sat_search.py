@@ -7,6 +7,7 @@ order, so the new search must return the same status, the same witness
 and the same node count on every formula and every budget.
 """
 
+import gc
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from marketsolver import (
     market_decides_sat,
     reference_dpll,
     ticks_to_assignment,
+    verify_assignment,
 )
 from marketsolver.sat_market import SatResult, Side, TickDirection
 
@@ -233,3 +235,38 @@ class TestOrderBookOnlyForTheRecheck:
         monkeypatch.setattr(sat_market, "apply_ticks", one_short)
         with pytest.raises(AssertionError):
             market_decides_sat(self.SAT)
+
+
+class TestSearchWithoutRecursion:
+    def test_search_leaves_no_cyclic_garbage(self):
+        rng = random.Random(5)
+        formulas = [(bench_formula(rng), budget) for budget in (1_000_000, 3)]
+        formulas.append((TestOrderBookOnlyForTheRecheck.UNSAT, 1_000_000))
+        statuses = set()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for f, budget in formulas:
+                gc.collect()
+                statuses.add(market_decides_sat(f, search_budget=budget).status)
+                assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert statuses == {"SAT", "UNSAT", "BUDGET_EXHAUSTED"}
+
+    def test_deep_search_past_the_recursion_limit(self, monkeypatch):
+        # ratio 1: easy, yet deeper than Python's default limit of 1,000 frames
+        n = 3000
+        rng = random.Random(n)
+        f = CnfFormula(
+            num_vars=n,
+            clauses=tuple(
+                tuple((v, rng.random() < 0.5) for v in rng.sample(range(1, n + 1), 3))
+                for _ in range(n)
+            ),
+        )
+        monkeypatch.setattr(sat_market, "EXHAUSTIVE_VAR_LIMIT", n)
+        result = market_decides_sat(f)
+        assert result.status == "SAT"
+        assert verify_assignment(f, result.witness)
