@@ -17,20 +17,16 @@ from .errors import (
     WitnessFormatError,
 )
 from .series import (
-    Context,
     PanelData,
     PriceSeries,
-    directions,
     gen_planted,
     gen_random_walk,
     load_panel_csv,
-    sliding_contexts,
 )
 from .strategy_search import (
     CriticalValue,
     TechnicalStrategy,
     WorkCounter,
-    best_position_sequence,
     brute_force_best,
     bucket_contexts,
     decide_q3,

@@ -23,17 +23,21 @@ from .errors import MarketSolverError, WitnessFormatError
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of a file, or of stdin for "-", less one leading byte-order mark.
+    """The UTF-8 text of a file, or of stdin for "-", as it is.
 
     Line ends are left as they are, so a quoted CSV field keeps its CR/LF
     exactly as the library reads it from a file opened with newline="".
+    Each reader drops the one leading byte-order mark an input may have.
     """
     if path == "-":
-        text = sys.stdin.buffer.read().decode("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    return text.removeprefix(series.BOM)
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def _json_of(text: str, **kwargs):
+    """The JSON value of `text`, less one leading byte-order mark."""
+    return json.loads(text.removeprefix("\ufeff"), **kwargs)
 
 
 def _load_series(path: str, asset: Optional[str]) -> series.PriceSeries:
@@ -117,7 +121,7 @@ def _cmd_knapsack(args) -> int:
         if not args.sidecar:
             print("error: reduce needs --sidecar SIDE.json", file=sys.stderr)
             return 2
-        sidecar = json.loads(_read_text(args.sidecar))
+        sidecar = _json_of(_read_text(args.sidecar))
         sc = knapsack_bridge.read_scenario_csv(_read_text(args.file), sidecar)
         inst, mapping = knapsack_bridge.scenario_to_knapsack(sc)
         if args.strict:
@@ -156,7 +160,7 @@ def _cmd_knapsack(args) -> int:
 def _parse_witness(text: str, num_vars: int) -> dict[int, bool]:
     """A JSON object mapping variables 1..num_vars to true/false, nothing looser."""
     # objects decode to tuples of (key, value) pairs, so repeated keys stay visible
-    raw = json.loads(text, object_pairs_hook=tuple)
+    raw = _json_of(text, object_pairs_hook=tuple)
     if not isinstance(raw, tuple):
         raise WitnessFormatError("witness must be a JSON object of variable numbers to booleans")
     witness = {}

@@ -73,8 +73,11 @@ class KnapsackInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "KnapsackInstance":
-        """Parse the to_json format; every field must be a JSON integer."""
-        obj = json.loads(text)
+        """Parse the to_json format; every field must be a JSON integer.
+
+        One leading byte-order mark (U+FEFF) is dropped.
+        """
+        obj = json.loads(text.removeprefix(series.BOM))
         items = obj.get("items") if isinstance(obj, dict) else None
         if not isinstance(items, list):
             raise InstanceFormatError('instance must be a JSON object with an "items" list')
@@ -180,11 +183,6 @@ def ticks_array(values, tick: float) -> np.ndarray:
             raise QuantizationError(f"{v} at tick {tick} is beyond the int64 tick range")
         raise QuantizationError(f"{v} is not a multiple of tick {tick}")
     return r.astype(np.int64)
-
-
-def to_ticks(x: float, tick: float) -> int:
-    """Convert one price or return to an integer tick count, exactly."""
-    return int(ticks_array(x, tick))
 
 
 def _exact_int_dtype(total: int, what: str) -> type:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .series import PanelData
+from .series import PanelData, _check_panel_size, _increasing
 
 SHOCK_SCALE = 1.0
 NOISE_SCALE = 0.25
@@ -211,10 +211,11 @@ def partition_report(
     Each row reports the cumulative winners-minus-losers return over the
     period plus the running data count through the period's end. A final
     period is appended when the last breakpoint falls before the panel's
-    last month.
+    last month. Breakpoints must be strictly increasing, as month labels
+    are; ValueError otherwise.
     """
-    if sorted(breakpoints) != list(breakpoints):
-        raise ValueError("breakpoints must be sorted ascending")
+    if not _increasing(breakpoints):
+        raise ValueError("breakpoints must be strictly increasing")
     if not breakpoints:
         raise ValueError("need at least one breakpoint")
     result = run_backtest(panel, cfg)
@@ -240,20 +241,21 @@ def gen_momentum_panel(
     n_months: int,
     persistence: float,
     seed: int,
-    with_components: bool = False,
-):
+) -> PanelData:
     """Synthetic panel whose expected returns follow an AR(1).
 
     Each asset's expected return mu obeys mu[t] = persistence * mu[t-1]
     + shock (standard deviation SHOCK_SCALE), initialized at its
     stationary spread; the observed return adds i.i.d. noise (standard
     deviation NOISE_SCALE) on top. persistence 0 gives a pure i.i.d. panel.
-    With with_components=True, also returns the expected-return matrix.
+    The panel size is checked before anything is drawn: CapacityError
+    beyond MAX_PANEL_CELLS.
     """
     if not 0.0 <= persistence < 1.0:
         raise ValueError(f"persistence must lie in [0, 1), got {persistence}")
     if n_assets < 1 or n_months < 1:
         raise ValueError("n_assets and n_months must be positive")
+    _check_panel_size(n_assets, n_months)
     rng = np.random.default_rng(seed)
     stationary = SHOCK_SCALE / math.sqrt(1.0 - persistence**2)
     mu = np.empty((n_assets, n_months))
@@ -265,7 +267,4 @@ def gen_momentum_panel(
 
     months = [f"{1980 + t // 12:04d}-{t % 12 + 1:02d}" for t in range(n_months)]
     assets = [f"S{i:04d}" for i in range(n_assets)]
-    panel = PanelData(assets=assets, months=months, returns=returns)
-    if with_components:
-        return panel, mu
-    return panel
+    return PanelData(assets=assets, months=months, returns=returns)

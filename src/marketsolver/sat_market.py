@@ -205,7 +205,8 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Comment lines start with 'c'; the 'p cnf <vars> <clauses>' header must
     match the body and declare at least one variable. A '%' line ends the
-    clause data, as in SATLIB files.
+    clause data, as in SATLIB files. One leading byte-order mark (U+FEFF)
+    is dropped.
 
     The lines after the header are first offered to `_parse_plain_clauses`,
     which reads a well-formed body in bulk; anything it declines is read
@@ -213,7 +214,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     """
     header: Optional[tuple[int, int]] = None
     tokens: list[int] = []
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     for at, raw in enumerate(lines):
         line = raw.strip()
         if line.startswith("%"):

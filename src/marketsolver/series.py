@@ -1,9 +1,11 @@
 """Price series and panel data model.
 
-Every other module consumes the types defined here: single-asset return
-series with price levels, UP/DOWN direction bits, fixed-width direction
-contexts read as base-two integers (oldest observation = most significant
-bit), and (asset, month) return panels loaded from CSV.
+Every other module consumes what is defined here: single-asset return
+series with price levels (`PriceSeries`), dense (asset, month) return
+panels loaded from CSV (`PanelData`), and direction contexts. A context
+is one int code: t UP/DOWN direction bits read as a base-two integer,
+oldest observation the most significant bit, as `context_codes` computes
+it; a direction bit is a context of width 1.
 
 Convention: a zero return counts as DOWN. The binary UP/DOWN model has no
 flat case, so the sign function must be total; zero maps to bit 0.
@@ -19,7 +21,7 @@ import math
 import operator
 import random
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
@@ -123,87 +125,6 @@ class PriceSeries:
         return cls(returns=rets, prices=start + cum)
 
 
-@dataclass(frozen=True)
-class Context:
-    """A t-period direction pattern packed into an integer.
-
-    The oldest observation is the most significant bit, so the pattern
-    reads left to right like the written bit string.
-    """
-
-    lookback: int
-    code: int
-
-    def __post_init__(self):
-        if self.lookback < 1:
-            raise ValueError("lookback must be a positive integer")
-        if not 0 <= self.code < (1 << self.lookback):
-            raise ValueError(
-                f"code {self.code} out of range for lookback {self.lookback}"
-            )
-
-    def bits(self) -> tuple[int, ...]:
-        """Unpack to bits, oldest first."""
-        return tuple(
-            (self.code >> (self.lookback - 1 - i)) & 1 for i in range(self.lookback)
-        )
-
-
-class CellView(Mapping):
-    """Read-only (asset, month) -> value view of one dense panel array.
-
-    A NaN cell is a hole and has no key. Iteration runs asset by asset,
-    then month by month. The view reads the array it was made from, so it
-    costs no memory of its own: the month labels are strictly increasing,
-    so a month is found by bisection rather than through a map.
-    """
-
-    # The view keeps the panel's asset map and labels, not the panel
-    # itself: a panel -> view -> panel cycle would outlive its last
-    # reference until the cyclic garbage collector ran.
-    __slots__ = ("_grid", "_row", "_assets", "_months")
-
-    def __init__(self, grid: np.ndarray, row: dict, assets: list, months: list):
-        self._grid, self._row = grid, row
-        self._assets, self._months = assets, months
-
-    def __getitem__(self, key) -> float:
-        try:
-            asset, month = key
-            j = bisect.bisect_left(self._months, month)
-            if self._months[j] != month:
-                raise KeyError(key)
-            value = float(self._grid[self._row[asset], j])
-        except (KeyError, IndexError, TypeError, ValueError):
-            raise KeyError(key) from None
-        if math.isnan(value):
-            raise KeyError(key)
-        return value
-
-    def __iter__(self):
-        return (key for key, _ in self.items())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self._grid)))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-    def items(self):
-        return _CellItems(self)
-
-
-class _CellItems(ItemsView):
-    """The (key, value) pairs of a CellView, read in one pass over its array."""
-
-    def __iter__(self):
-        view = self._mapping
-        rows, cols = np.nonzero(~np.isnan(view._grid))
-        values = view._grid[rows, cols].tolist()
-        for i, j, value in zip(rows.tolist(), cols.tolist(), values):
-            yield (view._assets[i], view._months[j]), value
-
-
 def _check_panel_size(n_assets: int, n_months: int) -> None:
     cells = n_assets * n_months
     if cells > MAX_PANEL_CELLS:
@@ -221,13 +142,13 @@ class PanelData:
     and holds the optional price column, or is None when no row carried a
     price; a price needs a return in the same cell. Both arrays are
     read-only and take 8 * assets * months bytes each, so the cell count
-    is capped at MAX_PANEL_CELLS. `returns` and `prices` are read-only
-    (asset, month) -> value mappings over them.
+    is capped at MAX_PANEL_CELLS. Two panels are equal when their labels
+    and arrays are, a NaN hole equal to a NaN hole.
 
-    `returns` and `prices` may be given as such mappings or as arrays of
-    the panel's shape with NaN holes. Values must be finite, asset labels
-    distinct, and month labels (ISO date strings, compared
-    lexicographically) strictly increasing; ValueError otherwise.
+    `returns` and `prices` may be given as (asset, month) -> value
+    mappings or as arrays of the panel's shape with NaN holes. Values must
+    be finite, asset labels distinct, and month labels (ISO date strings,
+    compared lexicographically) strictly increasing; ValueError otherwise.
     """
 
     def __init__(self, assets, months, returns, prices=None):
@@ -268,15 +189,8 @@ class PanelData:
         return panel
 
     def _index(self) -> None:
-        """The running entry count and the mapping views over the arrays."""
-        # entries of months 0..j, for j = 0..months-1
+        """The running entry count: entries of months 0..j, for each month j."""
         self._entries_through = np.count_nonzero(~np.isnan(self.return_matrix), axis=0).cumsum()
-        index = (self._row, self.assets, self.months)
-        self.returns = CellView(self.return_matrix, *index)
-        grid = self.price_matrix
-        if grid is None:  # an all-hole view that allocates nothing
-            grid = np.broadcast_to(np.nan, self.return_matrix.shape)
-        self.prices = CellView(grid, *index)
 
     def _grid(self, values, what: str, col: dict) -> np.ndarray:
         """A private read-only assets x months copy of a mapping or an array.
@@ -310,8 +224,12 @@ class PanelData:
     def __eq__(self, other):
         if not isinstance(other, PanelData):
             return NotImplemented
-        return (self.assets, self.months, self.returns, self.prices) == (
-            other.assets, other.months, other.returns, other.prices
+        # both constructors turn an all-hole price grid into None
+        a, b = self.price_matrix, other.price_matrix
+        return (
+            (self.assets, self.months) == (other.assets, other.months)
+            and np.array_equal(self.return_matrix, other.return_matrix, equal_nan=True)
+            and (a is b if a is None or b is None else np.array_equal(a, b, equal_nan=True))
         )
 
     def n_entries(self) -> int:
@@ -587,24 +505,6 @@ def context_codes(returns: Iterable[float], t: int) -> np.ndarray:
     return codes
 
 
-def directions(series: PriceSeries) -> np.ndarray:
-    """One direction bit per period, as an int64 array: 1 iff the return is positive."""
-    return context_codes(series.returns, 1)
-
-
-def sliding_contexts(series: PriceSeries, t: int) -> list[tuple[int, Context]]:
-    """All t-wide direction windows, as (end_index, Context) pairs.
-
-    The window ending at index i covers periods i-t+1..i, oldest bit most
-    significant. A series of length n yields exactly n - t + 1 windows.
-    """
-    n = len(series)
-    if t > n:
-        raise InvalidWindowError(f"lookback {t} exceeds series length {n}")
-    codes = context_codes(series.returns, t).tolist()
-    return [(t - 1 + k, Context(lookback=t, code=c)) for k, c in enumerate(codes)]
-
-
 def gen_random_walk(n: int, p_up: float, seed: int) -> PriceSeries:
     """n i.i.d. unit moves: +1 with probability p_up, else -1."""
     if not 0.0 <= p_up <= 1.0:
@@ -614,27 +514,31 @@ def gen_random_walk(n: int, p_up: float, seed: int) -> PriceSeries:
     return PriceSeries.with_shifted_levels(rets)
 
 
-def gen_planted(n: int, pattern: Context, edge: float, seed: int) -> PriceSeries:
-    """Random walk with a conditional drift planted after one pattern.
+def gen_planted(n: int, lookback: int, code: int, edge: float, seed: int) -> PriceSeries:
+    """Random walk with a conditional drift planted after one context.
 
-    Whenever the trailing `pattern.lookback` directions equal the pattern,
+    Whenever the trailing `lookback` directions have context code `code`,
     the next move is +1 with probability 0.5 + edge; everywhere else the
-    walk is fair.
+    walk is fair. ValueError unless lookback >= 1 and 0 <= code <
+    2**lookback.
     """
+    if lookback < 1:
+        raise ValueError("lookback must be a positive integer")
+    if not 0 <= code < (1 << lookback):
+        raise ValueError(f"code {code} out of range for lookback {lookback}")
     if not 0.0 <= edge <= 0.5:
         raise ValueError(f"edge must lie in [0, 0.5], got {edge}")
-    t = pattern.lookback
-    if t > n:
-        raise InvalidWindowError(f"pattern lookback {t} exceeds series length {n}")
+    if lookback > n:
+        raise InvalidWindowError(f"pattern lookback {lookback} exceeds series length {n}")
     rng = random.Random(seed)
-    mask = (1 << t) - 1
+    mask = (1 << lookback) - 1
     rets: list[float] = []
-    code = 0
+    window = 0
     # Sequential by nature: each move's odds depend on the code the
     # previous moves built, so `context_codes` cannot be used here.
     for i in range(n):
-        p = 0.5 + edge if (i >= t and code == pattern.code) else 0.5
+        p = 0.5 + edge if (i >= lookback and window == code) else 0.5
         r = 1.0 if rng.random() < p else -1.0
         rets.append(r)
-        code = ((code << 1) | (1 if r > 0 else 0)) & mask
+        window = ((window << 1) | (1 if r > 0 else 0)) & mask
     return PriceSeries.with_shifted_levels(rets)

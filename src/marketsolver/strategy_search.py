@@ -271,19 +271,6 @@ def evaluate(
     return profit
 
 
-def best_position_sequence(series: PriceSeries) -> tuple[tuple[int, ...], float]:
-    """The unconstrained optimum: long every up period, short every down one.
-
-    Not a bona fide strategy (it is a hindsight position path, not a
-    function of prior data); its profit sum(|r|) is the ceiling any
-    strategy's profit can be compared against.
-    """
-    returns = series.returns.tolist()
-    positions = tuple(LONG if r > 0 else (SHORT if r < 0 else OUT) for r in returns)
-    profit = sum(abs(r) for r in returns)
-    return positions, profit
-
-
 def _check_enumerable(t: int) -> None:
     if t < 1:
         raise InvalidWindowError(f"lookback must be >= 1, got {t}")

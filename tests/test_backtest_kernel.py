@@ -34,8 +34,9 @@ def ref_panel_matrix(panel):
     asset_idx = {a: i for i, a in enumerate(panel.assets)}
     month_idx = {m: j for j, m in enumerate(panel.months)}
     mat = np.full((len(panel.assets), len(panel.months)), np.nan)
-    for (asset, month), r in panel.returns.items():
-        mat[asset_idx[asset], month_idx[month]] = r
+    for i, j in zip(*np.nonzero(~np.isnan(panel.return_matrix))):
+        asset, month = panel.assets[i], panel.months[j]
+        mat[asset_idx[asset], month_idx[month]] = panel.return_matrix[i, j]
     return mat
 
 

@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,6 +370,38 @@ class TestMomentumCommands:
         assert out.splitlines()[0] == "period,performance,data_count"
         assert len(out.splitlines()) == 3
 
+    def test_repeated_breakpoint_is_a_domain_error(self, tmp_path, capsys):
+        _, csv_text, _ = run_cli(
+            capsys,
+            ["momentum", "gen", "--assets", "30", "--months", "40", "--seed", "2"],
+        )
+        path = tmp_path / "panel.csv"
+        path.write_text(csv_text)
+        code, out, err = run_cli(
+            capsys,
+            ["momentum", "partition", str(path), "--formation", "3", "--holding", "3",
+             "--deciles", "5", "--breakpoints", "1981-08,1981-08", "--format", "csv"],
+        )
+        assert (code, out) == (1, "")
+        assert "strictly increasing" in err
+
+    def test_gen_checks_the_size_before_it_allocates(self):
+        # a trillion cells: drawing them first would end in a MemoryError
+        import marketsolver
+
+        src = str(Path(marketsolver.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketsolver.cli", "momentum", "gen",
+             "--assets", "1000000", "--months", "1000000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert "beyond the cap" in proc.stderr
+
 
 class TestHardening:
     @pytest.mark.parametrize(
@@ -591,6 +627,50 @@ class TestInputText:
             assert (code, err) == (0, "")
             outs.append(out)
         assert outs[0] and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", sorted(INPUTS))
+    def test_a_second_byte_order_mark_is_an_error(self, tmp_path, capsys, command):
+        argv, text = self.INPUTS[command]
+        path = tmp_path / "input"
+        path.write_text("\ufeff\ufeff" + text, encoding="utf-8")
+        code, out, err = run_cli(capsys, [str(path) if arg == "-" else arg for arg in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    def test_sidecar_and_witness_drop_one_byte_order_mark(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(TestKnapsackCommands.INSTANCE))
+        prefix = str(tmp_path / "scenario")
+        assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(EXAMPLE_DIMACS)
+        witness = tmp_path / "w.json"
+        commands = [
+            (["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json"],
+             Path(prefix + ".json"), Path(prefix + ".json").read_text(encoding="utf-8")),
+            (["sat", "verify", str(cnf), "--witness", str(witness)],
+             witness, '{"1": true, "2": false, "3": false, "4": true}'),
+        ]
+        for argv, path, text in commands:
+            outs = []
+            for marks in range(3):
+                path.write_text("\ufeff" * marks + text, encoding="utf-8")
+                outs.append(run_cli(capsys, argv))
+            assert outs[0][0] == 0 and outs[0][1] and outs[1] == outs[0]
+            assert outs[2][:2] == (1, "")
+
+    def test_a_second_byte_order_mark_fails_as_in_the_library(self, tmp_path, capsys):
+        from marketsolver import PanelParseError, load_panel_csv
+
+        text = "\ufeff\ufeff" + PANEL_CSV
+        with pytest.raises(PanelParseError) as exc:
+            load_panel_csv(text)
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["strategy", "optimal", str(path), "--lookback", "2"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {exc.value}\n"
+        assert err.startswith("error: line 1: expected header")
 
     def test_error_after_a_two_line_quoted_asset_names_the_physical_line(self, tmp_path, capsys):
         path = tmp_path / "panel.csv"

@@ -25,7 +25,6 @@ from marketsolver import (
     evaluate,
     gen_random_walk,
     optimal_strategy,
-    sliding_contexts,
 )
 from marketsolver.series import context_codes
 
@@ -119,10 +118,14 @@ class TestContextCodes:
         if len(returns) < t:
             assert len(codes) == 0
             return
-        windows = sliding_contexts(as_series(returns), t)
-        assert [(k + t - 1, c) for k, c in enumerate(codes.tolist())] == [
-            (end, ctx.code) for end, ctx in windows
-        ]
+        # each window ending at period end, read on its own, oldest bit first
+        windows = []
+        for end in range(t - 1, len(returns)):
+            code = 0
+            for r in returns[end - t + 1 : end + 1]:
+                code = (code << 1) | (1 if r > 0 else 0)
+            windows.append(code)
+        assert codes.tolist() == windows
 
     def test_zero_and_nan_count_as_down(self):
         assert context_codes([0.0, -0.0, float("nan"), 1e-300], 1).tolist() == [0, 0, 0, 1]

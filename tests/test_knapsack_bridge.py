@@ -339,21 +339,21 @@ class TestInstanceValidation:
 class TestTickHardening:
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), 1e19, -1e19])
     def test_non_finite_or_huge_values_raise(self, x):
-        from marketsolver.knapsack_bridge import ticks_array, to_ticks
+        from marketsolver.knapsack_bridge import ticks_array
 
         with pytest.raises(QuantizationError):
-            to_ticks(x, 1.0)
+            ticks_array(x, 1.0)
         with pytest.raises(QuantizationError):
             ticks_array([1.0, x], 1.0)
 
     def test_ticks_are_exact_int64(self):
-        from marketsolver.knapsack_bridge import ticks_array, to_ticks
+        from marketsolver.knapsack_bridge import ticks_array
 
         ticks = ticks_array([0.07, -0.03, 1.5], 0.01)
         assert ticks.dtype == np.int64
         assert ticks.tolist() == [7, -3, 150]
         assert ticks_array([2.0**62], 1.0).tolist() == [2**62]
-        assert to_ticks(0.07, 0.01) == 7 and type(to_ticks(0.07, 0.01)) is int
+        assert ticks_array(0.07, 0.01) == 7 and ticks_array(0.07, 0.01).dtype == np.int64
 
     def test_first_misfit_is_named(self):
         from marketsolver.knapsack_bridge import ticks_array

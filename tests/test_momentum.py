@@ -227,38 +227,42 @@ class TestPartitionReport:
                 MomentumConfig(formation_months=2, holding_months=2, decile_count=4),
             )
 
+    def test_repeated_breakpoint_rejected(self):
+        # a repeat would report the empty period m..m
+        panel = gen_momentum_panel(20, 24, 0.0, seed=9)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            partition_report(
+                panel,
+                [panel.months[10], panel.months[10]],
+                MomentumConfig(formation_months=2, holding_months=2, decile_count=4),
+            )
+
+
+def lag_one_autocorrelation(panel):
+    demeaned = panel.return_matrix - panel.return_matrix.mean(axis=1, keepdims=True)
+    num = (demeaned[:, 1:] * demeaned[:, :-1]).sum()
+    den = (demeaned**2).sum()
+    return num / den
+
 
 class TestGenMomentumPanel:
     def test_iid_panel_has_no_autocorrelation(self):
-        panel, mu = gen_momentum_panel(
-            100, 480, persistence=0.0, seed=13, with_components=True
-        )
-        R = np.array(
-            [
-                [panel.returns[(a, m)] for m in panel.months]
-                for a in panel.assets
-            ]
-        )
-        demeaned = R - R.mean(axis=1, keepdims=True)
-        num = (demeaned[:, 1:] * demeaned[:, :-1]).sum()
-        den = (demeaned**2).sum()
-        assert abs(num / den) < 0.05
+        panel = gen_momentum_panel(100, 480, persistence=0.0, seed=13)
+        assert not np.isnan(panel.return_matrix).any()
+        assert abs(lag_one_autocorrelation(panel)) < 0.05
 
     def test_persistent_component_is_autocorrelated(self):
-        _, mu = gen_momentum_panel(
-            100, 480, persistence=0.15, seed=13, with_components=True
-        )
-        demeaned = mu - mu.mean(axis=1, keepdims=True)
-        num = (demeaned[:, 1:] * demeaned[:, :-1]).sum()
-        den = (demeaned**2).sum()
-        assert num / den > 0
+        # the returns' lag-1 autocorrelation reads 0.128-0.146 at
+        # persistence 0.15 over seeds 13-32 (0.138 at seed 13)
+        panel = gen_momentum_panel(100, 480, persistence=0.15, seed=13)
+        assert lag_one_autocorrelation(panel) > 0.1
 
     def test_seed_determinism(self):
         a = gen_momentum_panel(10, 20, 0.1, seed=4)
         b = gen_momentum_panel(10, 20, 0.1, seed=4)
         c = gen_momentum_panel(10, 20, 0.1, seed=5)
-        assert a.returns == b.returns
-        assert a.returns != c.returns
+        assert a == b
+        assert a != c
 
     def test_shape(self):
         panel = gen_momentum_panel(7, 11, 0.0, seed=1)

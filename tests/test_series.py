@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 
 from marketsolver import (
     CapacityError,
-    Context,
     DuplicateRowError,
     InvalidWindowError,
     PanelData,
     PanelParseError,
     PriceSeries,
-    directions,
     gen_planted,
     gen_random_walk,
     load_panel_csv,
-    sliding_contexts,
 )
+from marketsolver.series import context_codes
 
 
 def make_series(returns):
@@ -48,7 +46,11 @@ class TestLoadPanelCsv:
         assert panel.n_entries() == 3
         assert panel.assets == ["AAA", "BBB"]
         assert panel.months == ["2020-01", "2020-02"]
-        assert ("BBB", "2020-02") not in panel.returns
+        assert panel == PanelData(
+            ["AAA", "BBB"],
+            ["2020-01", "2020-02"],
+            {("AAA", "2020-01"): 0.02, ("BBB", "2020-01"): -0.01, ("AAA", "2020-02"): 0.03},
+        )
         holes = len(panel.assets) * len(panel.months) - panel.n_entries()
         assert holes == 1
 
@@ -86,7 +88,7 @@ class TestLoadPanelCsv:
     @pytest.mark.parametrize("source", [str, io.StringIO], ids=["text", "file"])
     def test_byte_order_mark_is_dropped(self, source):
         panel = load_panel_csv(source("\ufeffdate,asset,return\n2020-01,X,0.5\n"))
-        assert panel.returns == {("X", "2020-01"): 0.5}
+        assert panel == PanelData(["X"], ["2020-01"], {("X", "2020-01"): 0.5})
 
     def test_only_one_leading_byte_order_mark_is_dropped(self):
         with pytest.raises(PanelParseError, match="expected header"):
@@ -132,57 +134,48 @@ class TestOneLineRule:
 
 
 class TestDirections:
+    """A direction bit is a context code of width 1."""
+
     def test_empty(self):
-        assert directions(make_series([])).tolist() == []
+        assert context_codes(make_series([]).returns, 1).tolist() == []
 
     def test_sign_definition_with_zero_as_down(self):
         srs = make_series([1.0, -1.0, 2.0, 0.0])
-        assert directions(srs).tolist() == [1, 0, 1, 0]
+        assert context_codes(srs.returns, 1).tolist() == [1, 0, 1, 0]
 
     @given(st.lists(st.floats(-10, 10, allow_nan=False), max_size=50))
     def test_up_count_matches_positive_count(self, returns):
-        srs = PriceSeries(
-            returns=tuple(returns), prices=tuple([1.0] * len(returns))
-        )
-        bits = directions(srs).tolist()
+        bits = context_codes(returns, 1).tolist()
+        assert len(bits) == len(returns)
         assert sum(bits) == sum(1 for r in returns if r > 0)
         assert all(b == (1 if r > 0 else 0) for b, r in zip(bits, returns))
 
 
 class TestSlidingContexts:
+    """Every t-wide window of a series, as `context_codes` reads them."""
+
     def test_single_full_window(self):
         srs = make_series([1.0, -1.0, 1.0])  # bits 1,0,1
-        out = sliding_contexts(srs, 3)
-        assert len(out) == 1
-        end, ctx = out[0]
-        assert end == 2
-        assert ctx.code == 0b101 == 5
+        assert context_codes(srs.returns, 3).tolist() == [0b101] == [5]
 
     def test_width_one_is_the_bit_itself(self):
         srs = make_series([1.0, 1.0])
-        out = sliding_contexts(srs, 1)
-        assert [c.code for _, c in out] == [1, 1]
+        assert context_codes(srs.returns, 1).tolist() == [1, 1]
 
     def test_eight_wide_window_reads_137(self):
         # direction pattern 1,0,0,0,1,0,0,1 read oldest-first is binary
         # 10001001 = 137
         bits = [1, 0, 0, 0, 1, 0, 0, 1]
         srs = make_series([1.0 if b else -1.0 for b in bits])
-        out = sliding_contexts(srs, 8)
-        assert len(out) == 1
-        assert out[0][1].code == 137
-
-    def test_window_larger_than_series_rejected(self):
-        with pytest.raises(InvalidWindowError):
-            sliding_contexts(make_series([1.0, 1.0]), 3)
+        assert context_codes(srs.returns, 8).tolist() == [137]
 
     @given(st.integers(1, 6), st.integers(0, 40))
     def test_cardinality_and_code_range(self, t, extra):
         n = t + extra
         srs = gen_random_walk(n, 0.5, seed=n * 31 + t)
-        out = sliding_contexts(srs, t)
-        assert len(out) == n - t + 1
-        assert all(0 <= c.code < (1 << t) for _, c in out)
+        codes = context_codes(srs.returns, t).tolist()
+        assert len(codes) == n - t + 1
+        assert all(0 <= c < (1 << t) for c in codes)
 
 
 class TestGenRandomWalk:
@@ -195,7 +188,7 @@ class TestGenRandomWalk:
 
     def test_fair_walk_up_fraction(self):
         srs = gen_random_walk(10_000, 0.5, seed=11)
-        frac = sum(directions(srs).tolist()) / 10_000
+        frac = sum(context_codes(srs.returns, 1).tolist()) / 10_000
         assert abs(frac - 0.5) < 0.02
 
     def test_deterministic_given_seed(self):
@@ -207,16 +200,15 @@ class TestGenRandomWalk:
         assert all(p > 0 for p in srs.prices)
 
 
-def conditional_up_rate(srs, pattern):
-    """Independent count: P(next period UP | trailing bits == pattern)."""
-    bits = directions(srs).tolist()
-    t = pattern.lookback
+def conditional_up_rate(srs, t, code):
+    """Independent count: P(next period UP | trailing t bits have code `code`)."""
+    bits = [1 if r > 0 else 0 for r in srs.returns.tolist()]
     hits = ups = 0
     for i in range(t, len(bits)):
         window = 0
         for b in bits[i - t : i]:
             window = (window << 1) | b
-        if window == pattern.code:
+        if window == code:
             hits += 1
             ups += bits[i]
     return ups / hits if hits else float("nan")
@@ -224,23 +216,20 @@ def conditional_up_rate(srs, pattern):
 
 class TestGenPlanted:
     def test_zero_edge_is_fair(self):
-        pattern = Context(lookback=3, code=0b111)
-        srs = gen_planted(20_000, pattern, 0.0, seed=2)
-        assert abs(conditional_up_rate(srs, pattern) - 0.5) < 0.05
+        srs = gen_planted(20_000, 3, 0b111, 0.0, seed=2)
+        assert abs(conditional_up_rate(srs, 3, 0b111) - 0.5) < 0.05
 
     def test_planted_edge_shows_up(self):
-        pattern = Context(lookback=3, code=0b111)
-        srs = gen_planted(20_000, pattern, 0.3, seed=2)
-        assert abs(conditional_up_rate(srs, pattern) - 0.8) < 0.03
+        srs = gen_planted(20_000, 3, 0b111, 0.3, seed=2)
+        assert abs(conditional_up_rate(srs, 3, 0b111) - 0.8) < 0.03
 
     def test_pattern_longer_than_series_rejected(self):
         with pytest.raises(InvalidWindowError):
-            gen_planted(2, Context(lookback=3, code=0), 0.1, seed=0)
+            gen_planted(2, 3, 0, 0.1, seed=0)
 
     def test_deterministic_given_seed(self):
-        pattern = Context(lookback=2, code=1)
-        a = gen_planted(500, pattern, 0.2, seed=9)
-        b = gen_planted(500, pattern, 0.2, seed=9)
+        a = gen_planted(500, 2, 1, 0.2, seed=9)
+        b = gen_planted(500, 2, 1, 0.2, seed=9)
         assert a == b
 
 
@@ -254,11 +243,9 @@ class TestTypes:
             PriceSeries(returns=(1.0,), prices=(0.0,))
 
     def test_context_code_must_fit_lookback(self):
-        with pytest.raises(ValueError):
-            Context(lookback=2, code=4)
-
-    def test_context_bits_oldest_first(self):
-        assert Context(lookback=4, code=0b1010).bits() == (1, 0, 1, 0)
+        for lookback, code in [(2, 4), (2, -1), (0, 0)]:
+            with pytest.raises(ValueError):
+                gen_planted(10, lookback, code, 0.1, seed=0)
 
     def test_from_returns_compounds_levels(self):
         srs = PriceSeries.from_returns([0.5, -0.5], start=100.0)
@@ -289,10 +276,12 @@ class TestNonFiniteAndFastPath:
         plain = "date,asset,return,price\n2020-01,AAA,0.5,2.0\n2020-02,AAA,-0.5,\n"
         quoted = 'date,asset,return,price\n"2020-01",AAA,0.5,2.0\n2020-02,"AAA",-0.5,\n'
         a, b = load_panel_csv(plain), load_panel_csv(quoted)
-        assert (a.assets, a.months, a.returns, a.prices) == (
-            b.assets, b.months, b.returns, b.prices
+        assert a == b == PanelData(
+            ["AAA"],
+            ["2020-01", "2020-02"],
+            {("AAA", "2020-01"): 0.5, ("AAA", "2020-02"): -0.5},
+            {("AAA", "2020-01"): 2.0},
         )
-        assert a.prices == {("AAA", "2020-01"): 2.0}
 
     def test_late_bad_line_is_found_after_bulk_split(self):
         rows = [f"{1000 + i // 12}-{i % 12 + 1:02d},X,0.01" for i in range(9000)]
@@ -306,7 +295,7 @@ class TestNonFiniteAndFastPath:
         rows[8500] = rows[8500][: -len(",1.5")] + ","
         panel = load_panel_csv("date,asset,return,price\n" + "\n".join(rows) + "\n")
         assert panel.n_entries() == 9000
-        assert len(panel.prices) == 8999
+        assert np.count_nonzero(~np.isnan(panel.price_matrix)) == 8999
 
     def test_blank_lines_are_skipped_and_counted(self):
         csv_text = "date,asset,return\n2020-01,AAA,0.5\n\n , ,\n2020-02,AAA,oops\n"
@@ -323,7 +312,7 @@ class TestNonFiniteAndFastPath:
 
     def test_file_like_input(self):
         panel = load_panel_csv(io.StringIO("date,asset,return\n2020-01,AAA,0.5\n"))
-        assert panel.returns == {("AAA", "2020-01"): 0.5}
+        assert panel == PanelData(["AAA"], ["2020-01"], {("AAA", "2020-01"): 0.5})
 
     def test_auto_synthesis_shifts_unit_moves(self):
         panel = load_panel_csv("date,asset,return\n2020-01,X,1.0\n2020-02,X,-1.0\n")
@@ -354,35 +343,34 @@ class TestDensePanel:
              ("B", "2020-03"): 0.0},
         )
         assert a == b
-        assert a.returns == b.returns
-        assert a.n_entries() == len(a.returns) == 4
-        assert ("A", "2020-02") not in a.returns
-        assert a.returns.get(("A", "2020-02")) is None
-        assert a.returns[("B", "2020-03")] == 0.0
-        assert list(a.returns) == [("A", "2020-01"), ("A", "2020-03"), ("B", "2020-02"),
-                                   ("B", "2020-03")]
-        assert a.price_matrix is None and len(a.prices) == 0
+        assert a.n_entries() == 4
+        assert a.price_matrix is None and b.price_matrix is None
         assert np.array_equal(a.return_matrix, np.array(grid), equal_nan=True)
 
-    @pytest.mark.parametrize("key", [("A", "2019-12"), ("A", "2020-015"), ("A", "2021"),
-                                     ("Z", "2020-01"), ("A", 5), ("A", ["2020-01"]), "A"])
-    def test_lookup_misses_are_key_errors(self, key):
-        panel = PanelData(["A"], self.MONTHS, [[0.1, 0.2, 0.3]])
-        assert key not in panel.returns
-        with pytest.raises(KeyError):
-            panel.returns[key]
+    def test_equality_compares_labels_and_arrays(self):
+        grid = [[0.1, np.nan, 0.3]]
+        panel = PanelData(["A"], self.MONTHS, grid)
+        assert panel == PanelData(["A"], self.MONTHS, grid, [[np.nan] * 3])
+        assert panel != PanelData(["B"], self.MONTHS, grid)
+        assert panel != PanelData(["A"], ["2020-01", "2020-02", "2020-04"], grid)
+        assert panel != PanelData(["A"], self.MONTHS, [[0.1, 0.0, 0.3]])
+        priced = PanelData(["A"], self.MONTHS, grid, [[1.0, np.nan, 2.0]])
+        assert priced != panel and panel != priced
+        assert priced == PanelData(["A"], self.MONTHS, grid, {("A", "2020-01"): 1.0,
+                                                               ("A", "2020-03"): 2.0})
+        assert priced != PanelData(["A"], self.MONTHS, grid, [[1.0, np.nan, np.nan]])
 
     def test_arrays_are_read_only_copies(self):
         grid = np.zeros((1, 3))
         panel = PanelData(["A"], self.MONTHS, grid)
         grid[0, 0] = 9.0
-        assert panel.returns[("A", "2020-01")] == 0.0
+        assert panel.return_matrix[0, 0] == 0.0
         assert not panel.return_matrix.flags.writeable
-        with pytest.raises(TypeError):
-            panel.returns[("A", "2020-01")] = 1.0
+        with pytest.raises(ValueError):
+            panel.return_matrix[0, 0] = 1.0
 
     def test_freed_without_the_cycle_collector(self):
-        # a reference cycle through the views would keep every dropped
+        # a reference cycle through the panel would keep every dropped
         # panel's arrays alive until the cyclic collector ran
         panel = PanelData(["A"], self.MONTHS, np.zeros((1, 3)), np.ones((1, 3)))
         matrix = weakref.ref(panel.return_matrix)
@@ -638,7 +626,8 @@ class TestBulkAndRowParsersAgree:
 
         monkeypatch.setattr(series, "_parse_rows", counted)
         panel = load_panel_csv('"date",asset,return\n2020-01,"X",0.5\n')
-        assert calls == [False] and panel.returns == {("X", "2020-01"): 0.5}
+        assert calls == [False]
+        assert panel == PanelData(["X"], ["2020-01"], {("X", "2020-01"): 0.5})
 
     def test_reader_buffer_is_freed_before_the_bulk_parse(self, monkeypatch):
         # the csv reader's StringIO holds the text at up to 4 bytes a

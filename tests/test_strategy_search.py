@@ -2,8 +2,6 @@ import json
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from marketsolver import (
     CapacityError,
@@ -13,7 +11,6 @@ from marketsolver import (
     PriceSeries,
     TechnicalStrategy,
     WorkCounter,
-    best_position_sequence,
     brute_force_best,
     bucket_contexts,
     decide_q3,
@@ -23,9 +20,8 @@ from marketsolver import (
     gen_planted,
     gen_random_walk,
     optimal_strategy,
-    sliding_contexts,
 )
-from marketsolver.series import Context
+from marketsolver.series import context_codes
 
 
 def make_series(returns):
@@ -58,9 +54,9 @@ class TestEvaluate:
     def test_flipping_an_unobserved_context_changes_nothing(self):
         srs = gen_random_walk(24, 0.5, seed=3)
         t = 4
-        # occurrence oracle: contexts that precede a tradable period
-        n = len(srs)
-        seen = {c.code for end, c in sliding_contexts(srs, t) if end <= n - 2}
+        # occurrence oracle: contexts that precede a tradable period, so
+        # every window but the one ending at the last period
+        seen = set(context_codes(srs.returns, t)[:-1].tolist())
         unused = next(c for c in range(1 << t) if c not in seen)
         table = [0] * (1 << t)
         base = TechnicalStrategy(lookback=t, table=tuple(table), long_or_out=True)
@@ -81,34 +77,6 @@ class TestEvaluate:
         strat = TechnicalStrategy(lookback=3, table=(0,) * 8, long_or_out=True)
         with pytest.raises(InvalidWindowError):
             evaluate(strat, make_series([1.0]))
-
-
-class TestBestPositionSequence:
-    def test_unit_returns_earn_length(self):
-        for n in (1, 7, 32):
-            srs = gen_random_walk(n, 0.5, seed=n + 100)
-            _, profit = best_position_sequence(srs)
-            assert profit == n
-
-    def test_all_zero_returns(self):
-        seq, profit = best_position_sequence(
-            PriceSeries(returns=(0.0, 0.0), prices=(1.0, 1.0))
-        )
-        assert seq == (0, 0)
-        assert profit == 0.0
-
-    def test_absolute_value_identity(self):
-        seq, profit = best_position_sequence(
-            PriceSeries(returns=(2.0, -3.0), prices=(1.0, 1.0))
-        )
-        assert seq == (1, -1)
-        assert profit == 5.0
-
-    @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=30))
-    def test_profit_is_sum_of_absolutes(self, returns):
-        srs = PriceSeries(returns=tuple(returns), prices=(1.0,) * len(returns))
-        _, profit = best_position_sequence(srs)
-        assert profit == pytest.approx(sum(abs(r) for r in returns))
 
 
 class TestEnumeration:
@@ -300,8 +268,7 @@ class TestDecideQ3:
         assert decide_q3(srs, 2, CriticalValue(K=-1.0)) is True
 
     def test_planted_edge_clears_zero(self):
-        pattern = Context(lookback=3, code=0b111)
-        srs = gen_planted(20_000, pattern, 0.3, seed=6)
+        srs = gen_planted(20_000, 3, 0b111, 0.3, seed=6)
         assert math.fsum(bucket_contexts(srs, 3)[0b111]) > 0
         assert decide_q3(srs, 3, CriticalValue(K=0.0)) is True
 
