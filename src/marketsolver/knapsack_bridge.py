@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import CapacityError, InstanceFormatError, QuantizationError
 from . import series
-from .series import PriceSeries
 from .strategy_search import LONG, MAX_TABLE_BITS, OUT, TechnicalStrategy, _tradable
 
 MAX_BRUTE_ITEMS = 25
@@ -113,53 +112,59 @@ class KnapsackSolution:
     total_value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiAssetScenario:
-    """Several equal-length price series plus budget and profit targets.
+    """Returns and price levels of several assets plus budget and profit targets.
 
-    budget and target are integers in tick units; every price and return
-    in every series must be an exact multiple of the tick, and the
-    lookback must leave a period to hold (1 <= lookback < length).
+    `returns` and `prices` are read-only assets x periods float64 matrices
+    (a read-only float64 array is kept, anything else copied), prices > 0;
+    budget, target and every price and return are whole ticks, and the
+    lookback leaves a period to hold (1 <= lookback < periods).
 
-    The scenario is read as its context occurrences, over all assets in
-    order: an occurrence is a context window followed by one more period.
-    `codes` holds each occurrence's context code, `sizes` the price level
-    at the window's end and `values` the next period's return, both in
-    ticks. All three are read-only arrays, quantised once, here.
+    The scenario is read as its context occurrences, asset by asset: an
+    occurrence is a context window followed by one more period. `codes`
+    holds each occurrence's context code, `sizes` the price level at the
+    window's end and `values` the next period's return, both in ticks and
+    totalling within the int64 range. All are read-only, computed here.
     """
 
-    assets: tuple[PriceSeries, ...]
+    returns: np.ndarray
+    prices: np.ndarray
     lookback: int
     budget: int
     target: int
     tick: float = 1.0
-    codes: np.ndarray = field(init=False, compare=False, repr=False)
-    sizes: np.ndarray = field(init=False, compare=False, repr=False)
-    values: np.ndarray = field(init=False, compare=False, repr=False)
+    codes: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "assets", tuple(self.assets))
+        returns, prices = (np.asarray(a, dtype=np.float64) for a in (self.returns, self.prices))
+        if returns.ndim != 2 or returns.shape != prices.shape:
+            raise ValueError(f"returns {returns.shape} and prices {prices.shape} need a 2-D shape")
+        if np.any(prices <= 0):
+            raise ValueError("price levels must be strictly positive")
         if self.budget < 1 or self.target < 1:
             raise ValueError("budget and target must be positive integers")
         if not 0 < self.tick < math.inf:
             raise ValueError("tick must be positive and finite")
-        if not self.assets:
+        if not len(returns):
             raise ValueError("scenario needs at least one asset")
-        lengths = {len(a) for a in self.assets}
-        if len(lengths) != 1:
-            raise ValueError(f"asset series must share one length, got {sorted(lengths)}")
-        t, n = self.lookback, lengths.pop()
-        codes, sizes, values = [], [], []
-        for a in self.assets:
-            codes.append(_tradable(a, t)[0])
-            # raises QuantizationError on the first misfit
-            ticks = ticks_array(np.concatenate([a.prices, a.returns]), self.tick)
-            sizes.append(ticks[t - 1 : n - 1])
-            values.append(ticks[n + t :])
-        for name, parts in (("codes", codes), ("sizes", sizes), ("values", values)):
-            column = np.concatenate(parts)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        t = self.lookback
+        codes = _tradable(returns, t)[0]
+        # each raises QuantizationError on its first misfit
+        sizes = ticks_array(prices, self.tick)[:, t - 1 : -1]
+        values = ticks_array(returns, self.tick)[:, t:]
+        for ticks in (sizes, values):
+            if np.abs(ticks.astype(np.float64)).sum() >= 2.0**62:
+                raise QuantizationError("tick totals exceed the exact int64 range")
+        # a writable matrix may be the caller's, so it is copied
+        returns, prices = (a.copy() if a.flags.writeable else a for a in (returns, prices))
+        # occurrences run asset-major, as the rows do
+        for name, value in (("returns", returns), ("prices", prices), ("codes", codes.ravel()),
+                            ("sizes", sizes.ravel()), ("values", values.ravel())):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def ticks_array(values, tick: float) -> np.ndarray:
@@ -348,13 +353,6 @@ def decide_knapsack(inst: KnapsackInstance) -> bool:
     return solve_dp(inst).total_value >= inst.target
 
 
-def _check_tick_totals(sc: MultiAssetScenario) -> None:
-    """Refuse tick totals that could leave the int64 range, so every sum is exact."""
-    for ticks in (sc.sizes, sc.values):
-        if np.abs(ticks.astype(np.float64)).sum() >= 2.0**62:
-            raise QuantizationError("tick totals exceed the exact int64 range")
-
-
 def _aggregate_contexts(sc: MultiAssetScenario) -> dict[int, tuple[int, int]]:
     """Per-context (size, value) tick totals over all occurrences, all assets.
 
@@ -362,7 +360,6 @@ def _aggregate_contexts(sc: MultiAssetScenario) -> dict[int, tuple[int, int]]:
     across assets because one strategy must treat the same pattern
     identically everywhere.
     """
-    _check_tick_totals(sc)
     present, item = np.unique(sc.codes, return_inverse=True)
     size = np.zeros(len(present), dtype=np.int64)
     value = np.zeros(len(present), dtype=np.int64)
@@ -404,23 +401,26 @@ def knapsack_to_scenario(
     Item u becomes an asset whose first t direction bits spell u's index
     (so each item owns a distinct context), whose price level at the end
     of that window is s(u) ticks, and whose final return is v(u) ticks.
-    Deciding the scenario then answers the original instance.
+    Deciding the scenario then answers the original instance. A size or
+    value beyond the float range raises QuantizationError.
     """
     m = len(inst.items)
     if m < 1:
         raise ValueError("instance must have at least one item")
     t = max(1, math.ceil(math.log2(m)))
-    assets = []
-    for u, (s, v) in enumerate(inst.items):
-        bits = [(u >> (t - 1 - j)) & 1 for j in range(t)]
-        returns = [tick if b else -tick for b in bits] + [v * tick]
-        prices = [s * tick] * (t + 1)
-        assets.append(PriceSeries(returns=tuple(returns), prices=tuple(prices)))
+    try:
+        sizes, values = np.array(inst.items, dtype=np.float64).T
+    except OverflowError:
+        u = next(u for u, item in enumerate(inst.items) if max(item) > sys.float_info.max)
+        raise QuantizationError(f"item {u} has a size or value beyond the float range") from None
+    bits = (np.arange(m)[:, None] >> np.arange(t - 1, -1, -1)) & 1
+    with np.errstate(over="ignore"):  # inf, as float math gives; quantising refuses it
+        returns = np.column_stack([np.where(bits, tick, -tick), values * tick])
+        # read-only, so the scenario keeps this view: one level per item
+        prices = np.broadcast_to(sizes[:, None] * tick, (m, t + 1))
+    returns.setflags(write=False)
     return MultiAssetScenario(
-        assets=assets,
-        lookback=t,
-        budget=inst.budget,
-        target=inst.target,
+        returns=returns, prices=prices, lookback=t, budget=inst.budget, target=inst.target,
         tick=tick,
     )
 
@@ -486,21 +486,20 @@ def realized_profit_and_cost(
     """
     if strategy.lookback != sc.lookback:
         raise ValueError("strategy lookback does not match scenario lookback")
-    _check_tick_totals(sc)
     held = np.asarray(strategy.table)[sc.codes] == LONG
     return int(sc.values[held].sum()), int(sc.sizes[held].sum())
 
 
 def write_scenario_csv(sc: MultiAssetScenario) -> tuple[str, dict]:
     """Serialize to the panel CSV format plus the JSON sidecar dict."""
-    n = len(sc.assets[0])
+    n = sc.returns.shape[1]
     months = [f"{2000 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(n)]
     lines = ["date,asset,return,price"]
-    for a_idx, asset in enumerate(sc.assets):
+    for a_idx, (returns, prices) in enumerate(zip(sc.returns, sc.prices)):
         name = f"A{a_idx:04d}"
         lines.extend(
             f"{month},{name},{r!r},{p!r}"
-            for month, r, p in zip(months, asset.returns.tolist(), asset.prices.tolist())
+            for month, r, p in zip(months, returns.tolist(), prices.tolist())
         )
     sidecar = {
         "lookback": sc.lookback,
@@ -515,7 +514,8 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
     """Rebuild a scenario from the CSV panel plus its sidecar.
 
     The sidecar's lookback, budget and target must be JSON integers and
-    its tick a positive, finite JSON number.
+    its tick a positive, finite JSON number. Every cell needs a return
+    and a price; the panel's matrices become the scenario's as they are.
     """
     lookback, budget, target = (
         _json_int(sidecar, key, "sidecar") for key in ("lookback", "budget", "target")
@@ -531,21 +531,18 @@ def read_scenario_csv(csv_text: str, sidecar: dict) -> MultiAssetScenario:
         )
 
     panel = series.load_panel_csv(csv_text)
-    no_prices = np.full(len(panel.months), np.nan)
-    assets = []
-    for i, name in enumerate(panel.assets):
-        rets = panel.return_matrix[i]
-        prices = no_prices if panel.price_matrix is None else panel.price_matrix[i]
-        gaps = np.flatnonzero(np.isnan(prices))
-        if len(gaps):
-            # a cell without a return carries no price either, so the first
-            # missing price is the first incomplete month
-            gap = int(gaps[0])
-            m = panel.months[gap]
-            if math.isnan(rets[gap]):
-                raise ValueError(f"scenario asset {name!r} has a hole at {m!r}")
-            raise ValueError(f"scenario asset {name!r} is missing a price at {m!r}")
-        assets.append(PriceSeries(returns=rets, prices=prices))
+    returns = panel.return_matrix
+    prices = np.full(returns.shape, np.nan) if panel.price_matrix is None else panel.price_matrix
+    gaps = np.isnan(prices)
+    if gaps.any():
+        # a cell without a return carries no price either, so the first
+        # missing price is the first incomplete month
+        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+        name, month = panel.assets[i], panel.months[j]
+        if math.isnan(returns[i, j]):
+            raise ValueError(f"scenario asset {name!r} has a hole at {month!r}")
+        raise ValueError(f"scenario asset {name!r} is missing a price at {month!r}")
     return MultiAssetScenario(
-        assets=assets, lookback=lookback, budget=budget, target=target, tick=float(tick)
+        returns=returns, prices=prices, lookback=lookback, budget=budget, target=target,
+        tick=float(tick),
     )

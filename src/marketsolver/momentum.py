@@ -116,13 +116,15 @@ def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
     formation month with fewer rankable assets than decile buckets is
     skipped and counted in months_skipped; assets missing a return during
     a holding month drop out of that cohort's leg with the remaining
-    weights renormalized.
+    weights renormalized. More buckets than assets leave every month
+    unranked, so such a count acts as assets + 1, which stays in int64.
 
     Every cohort is ranked at once, and each leg is one gathered
     (cohorts x k) block averaged row by row, so each float is added in the
     same order as a per-cohort `mean` would add it.
     """
-    J, K, skip, D = cfg.formation_months, cfg.holding_months, cfg.skip_months, cfg.decile_count
+    J, K, skip = cfg.formation_months, cfg.holding_months, cfg.skip_months
+    D = min(cfg.decile_count, len(panel.assets) + 1)
     M = len(panel.months)
     if M < J + K + skip + 1:
         raise InsufficientDataError(
@@ -212,13 +214,18 @@ def partition_report(
     period plus the running data count through the period's end. A final
     period is appended when the last breakpoint falls before the panel's
     last month. Breakpoints must be strictly increasing, as month labels
-    are; ValueError otherwise.
+    are, and the first may not precede the panel's first month; ValueError
+    otherwise.
     """
     if not _increasing(breakpoints):
         raise ValueError("breakpoints must be strictly increasing")
     if not breakpoints:
         raise ValueError("need at least one breakpoint")
     result = run_backtest(panel, cfg)
+    if breakpoints[0] < panel.months[0]:
+        raise ValueError(
+            f"breakpoint {breakpoints[0]!r} precedes the panel's first month {panel.months[0]!r}"
+        )
     ends = list(breakpoints)
     if ends[-1] < panel.months[-1]:
         ends.append(panel.months[-1])

@@ -483,25 +483,26 @@ def _parse_rows(reader, has_price_col: bool) -> PanelData:
 
 
 def context_codes(returns: Iterable[float], t: int) -> np.ndarray:
-    """Code of every t-wide direction window, as an int64 array.
+    """Code of every t-wide direction window along the last axis, as int64.
 
-    Element k is the window ending at period k + t - 1, oldest bit most
-    significant, so n returns give n - t + 1 codes (none when n < t). The
-    codes are built from t shifted ORs of the UP bits (return > 0). This
-    is the one rolling-context implementation in the package.
+    Element k (of each row, for an assets x periods matrix) is the window
+    ending at period k + t - 1, oldest bit most significant, so n returns
+    give n - t + 1 codes (none when n < t). The codes are built from t
+    shifted ORs of the UP bits (return > 0). This is the one
+    rolling-context implementation in the package.
     """
     if t < 1:
         raise InvalidWindowError(f"lookback must be >= 1, got {t}")
     if t > MAX_CONTEXT_BITS:
         raise CapacityError(f"lookback {t} exceeds the {MAX_CONTEXT_BITS}-bit code limit")
     up = np.asarray(returns, dtype=np.float64) > 0
-    m = len(up) - t + 1
+    m = up.shape[-1] - t + 1
     if m <= 0:
-        return np.zeros(0, dtype=np.int64)
-    codes = up[:m].astype(np.int64)
+        return np.zeros(up.shape[:-1] + (0,), dtype=np.int64)
+    codes = up[..., :m].astype(np.int64)
     for j in range(1, t):
         codes <<= 1
-        codes |= up[j : j + m]
+        codes |= up[..., j : j + m]
     return codes
 
 

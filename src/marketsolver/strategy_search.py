@@ -151,20 +151,20 @@ class WorkCounter:
     strategies_evaluated: int = 0
 
 
-def _tradable(series: PriceSeries, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _tradable(returns: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """(context code, next return) for every period that follows a full window.
 
-    This is the one window rule: a lookback t needs 1 <= t < len(series),
-    so that at least one period follows a full window; anything else
-    raises InvalidWindowError.
+    This is the one window rule, along the last axis of one series' returns
+    or of an assets x periods matrix: a lookback t needs 1 <= t < n periods,
+    so that a period follows a full window; else InvalidWindowError.
     """
     if t < 1:
         raise InvalidWindowError(f"lookback must be >= 1, got {t}")
-    if t >= len(series):
+    if t >= returns.shape[-1]:
         raise InvalidWindowError(
-            f"lookback {t} leaves no subsequent period in a series of length {len(series)}"
+            f"lookback {t} leaves no subsequent period in a series of length {returns.shape[-1]}"
         )
-    return context_codes(series.returns, t)[:-1], series.returns[t:]
+    return context_codes(returns, t)[..., :-1], returns[..., t:]
 
 
 def _sum_error_bound(nxt: np.ndarray) -> float:
@@ -263,7 +263,7 @@ def evaluate(
     rolling context and pays the previously selected position. The
     profit is the true sum, correctly rounded, as the searches report it.
     """
-    codes, nxt = _tradable(series, strategy.lookback)
+    codes, nxt = _tradable(series.returns, strategy.lookback)
     profit = _profit(np.array(strategy.table), codes, nxt)
     if counter is not None:
         counter.periods_scanned += len(series)
@@ -316,7 +316,7 @@ def brute_force_best(
     Cost is 2^(2^t) full-series evaluations. With non-finite returns the
     float maximum is kept.
     """
-    codes, nxt = _tradable(series, t)
+    codes, nxt = _tradable(series.returns, t)
     _check_enumerable(t)
     n_contexts = 1 << t
     n_tables = 1 << n_contexts
@@ -368,7 +368,7 @@ def bucket_contexts(series: PriceSeries, t: int) -> dict[int, list[float]]:
     Only contexts followed by at least one more period are bucketed, so
     the bucketed return count is exactly n - t.
     """
-    return _buckets(*_tradable(series, t))
+    return _buckets(*_tradable(series.returns, t))
 
 
 def optimal_strategy(
@@ -387,7 +387,7 @@ def optimal_strategy(
     rest are summed correctly rounded, whose sign is exact. A lookback
     above MAX_TABLE_BITS raises CapacityError.
     """
-    codes, nxt = _tradable(series, t)
+    codes, nxt = _tradable(series.returns, t)
     if t > MAX_TABLE_BITS:
         raise CapacityError(f"lookback {t} exceeds the {MAX_TABLE_BITS}-bit table limit")
     sums = np.bincount(codes, weights=nxt, minlength=1 << t)

@@ -1,11 +1,14 @@
+import functools
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from marketsolver.cli import main
@@ -191,6 +194,26 @@ class TestKnapsackInputs:
         assert code == 1
         assert out == ""
         assert "int64" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["size", "value"])
+    def test_to_market_size_or_value_beyond_the_float_range(self, tmp_path, capsys, field):
+        # a valid JSON integer, but float() of it used to escape as OverflowError
+        instance = json.loads(json.dumps(self.GOOD))
+        instance["items"][1][field] = 10**400
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        code, out, err = run_cli(capsys, ["knapsack", "to-market", str(path)])
+        assert (code, out) == (1, "")
+        assert "item 1 has a size or value beyond the float range" in err
+
+    def test_to_market_refuses_tick_totals_beyond_int64(self, tmp_path, capsys):
+        # refused when the scenario is built, not by a later reduce
+        items = [{"size": 1, "value": 2**61}, {"size": 1, "value": 2**61}]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**self.GOOD, "items": items}))
+        code, out, err = run_cli(capsys, ["knapsack", "to-market", str(path)])
+        assert (code, out) == (1, "")
+        assert "tick totals exceed the exact int64 range" in err
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -385,6 +408,34 @@ class TestMomentumCommands:
         assert (code, out) == (1, "")
         assert "strictly increasing" in err
 
+    def test_breakpoint_before_the_first_month_is_a_domain_error(self, tmp_path, capsys):
+        _, csv_text, _ = run_cli(
+            capsys, ["momentum", "gen", "--assets", "40", "--months", "60", "--seed", "2"]
+        )
+        path = tmp_path / "panel.csv"
+        path.write_text(csv_text)
+        code, out, err = run_cli(
+            capsys, ["momentum", "partition", str(path), "--breakpoints", "1970-01", "--format", "csv"]
+        )
+        assert (code, out) == (1, "")
+        assert "precedes the panel's first month" in err
+
+    @pytest.mark.parametrize("action", [["backtest"], ["partition", "--breakpoints", "1982-06"]])
+    def test_deciles_beyond_the_assets_print_as_assets_plus_one(self, tmp_path, capsys, action):
+        _, csv_text, _ = run_cli(
+            capsys, ["momentum", "gen", "--assets", "40", "--months", "60", "--seed", "2"]
+        )
+        path = tmp_path / "panel.csv"
+        path.write_text(csv_text)
+        outputs = set()
+        for deciles in (41, 2**63, 10**400):
+            code, out, _ = run_cli(
+                capsys, ["momentum", action[0], str(path), *action[1:], "--deciles", str(deciles)]
+            )
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+
     def test_gen_checks_the_size_before_it_allocates(self):
         # a trillion cells: drawing them first would end in a MemoryError
         import marketsolver
@@ -508,24 +559,28 @@ class TestHardening:
         real = knapsack_bridge.ticks_array
 
         def counted(values, tick):
-            calls.append(len(values))
+            calls.append(np.shape(values))
             return real(values, tick)
 
         monkeypatch.setattr(knapsack_bridge, "ticks_array", counted)
-        inst_path = tmp_path / "inst.json"
-        inst_path.write_text(json.dumps(TestKnapsackCommands.INSTANCE))
-        prefix = str(tmp_path / "scenario")
-        assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
-        for strict, decision in (([], True), (["--strict"], False)):
-            calls.clear()
-            code, out, _ = run_cli(
-                capsys,
-                ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json", *strict],
-            )
-            assert code == 0
-            assert json.loads(out)["decision"] is decision
-            # one call per asset, over all its prices and returns
-            assert len(calls) == len(TestKnapsackCommands.INSTANCE["items"]) == 3
+        counts = []
+        for m in (3, 17):
+            items = [{"size": 1 + u % 5, "value": 2 + u % 7} for u in range(m)]
+            inst_path = tmp_path / f"inst{m}.json"
+            inst_path.write_text(json.dumps({"items": items, "budget": 9, "target": 5}))
+            prefix = str(tmp_path / f"scenario{m}")
+            assert run_cli(capsys, ["knapsack", "to-market", str(inst_path), "--out", prefix])[0] == 0
+            for strict in ([], ["--strict"]):
+                calls.clear()
+                code, _, _ = run_cli(
+                    capsys,
+                    ["knapsack", "reduce", prefix + ".csv", "--sidecar", prefix + ".json", *strict],
+                )
+                assert code == 0
+                # one call per matrix, each over every asset: prices, then returns
+                assert all(shape[0] == m for shape in calls)
+                counts.append(len(calls))
+        assert counts == [2, 2, 2, 2]
 
     @pytest.mark.parametrize("strict", [[], ["--strict"]])
     def test_reduce_aggregates_once(self, tmp_path, capsys, monkeypatch, strict):
@@ -700,3 +755,94 @@ class TestInputText:
         code, out, err = run_cli(capsys, ["strategy", "optimal", source, "--lookback", "1", "--asset", asset])
         assert (code, err) == (0, "")
         assert json.loads(out) == {"strategy": json.loads(strat.to_json()), "profit": profit}
+
+
+def _instance_with(field, x):
+    inst = {"items": [{"size": 1, "value": 3}, {"size": 2, "value": 4}], "budget": 2, "target": 1}
+    if field in ("size", "value"):
+        inst["items"][0][field] = x
+    else:
+        inst[field] = x
+    return json.dumps(inst)
+
+
+def _dimacs_with(field, x):
+    num_vars, num_clauses = (x, 2) if field == "vars" else (4, x)
+    return f"p cnf {num_vars} {num_clauses}\n1 2 -3 0\n1 -2 4 0\n"
+
+
+# name -> (argv with {file} and {side} placeholders, the file's text given x, or None)
+HOSTILE_CASES = {
+    **{
+        f"{action}-lookback": (["strategy", action, "{panel}", "--lookback", "{x}"], None)
+        for action in ("optimal", "brute", "decide")
+    },
+    **{
+        f"{action}-{option}": (
+            ["momentum", action, "{momentum}", f"--{option}", "{x}"]
+            + (["--breakpoints", "1981-06"] if action == "partition" else []),
+            None,
+        )
+        for action in ("backtest", "partition")
+        for option in ("formation", "holding", "deciles", "skip")
+    },
+    "sat-budget": (["sat", "solve", "{file}", "--budget", "{x}"], lambda x: EXAMPLE_DIMACS),
+    **{
+        f"{action}-instance-{field}": (
+            ["knapsack", action, "{file}"], functools.partial(_instance_with, field)
+        )
+        for action in ("solve", "decide", "to-market")
+        for field in ("budget", "target", "size", "value")
+    },
+    **{
+        f"reduce-sidecar-{field}": (
+            ["knapsack", "reduce", "{scenario}", "--sidecar", "{file}"],
+            lambda x, field=field: json.dumps(
+                {"lookback": 1, "budget": 2, "target": 1, "tick": 1.0, field: x}
+            ),
+        )
+        for field in ("lookback", "budget", "target", "tick")
+    },
+    **{
+        f"{action}-dimacs-{field}": (["sat", action, "{file}"], functools.partial(_dimacs_with, field))
+        for action in ("encode", "solve")
+        for field in ("vars", "clauses")
+    },
+}
+
+
+class TestHostileIntegers:
+    """Every integer the CLI or an input format declares, at sizes no input
+    should carry: a usage or domain error or an answer, never an exception
+    out of `main`, and each within seconds. (`momentum gen`'s sizes are
+    checked by the subprocess test above, since it allocates.)"""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        from marketsolver import knapsack_bridge, momentum
+
+        d = tmp_path_factory.mktemp("hostile")
+        (d / "panel.csv").write_text(PANEL_CSV)
+        panel = momentum.gen_momentum_panel(30, 40, 0.0, 2)
+        (d / "momentum.csv").write_text("date,asset,return\n" + "".join(
+            f"{m},{a},{r!r}\n"
+            for a, row in zip(panel.assets, panel.return_matrix.tolist())
+            for m, r in zip(panel.months, row)
+        ))
+        inst = knapsack_bridge.KnapsackInstance.from_json(_instance_with("budget", 2))
+        csv_text, _ = knapsack_bridge.write_scenario_csv(knapsack_bridge.knapsack_to_scenario(inst))
+        (d / "scenario.csv").write_text(csv_text)
+        return {name: str(d / f"{name}.csv") for name in ("panel", "momentum", "scenario")}
+
+    @pytest.mark.parametrize("x", [10**12, 2**63, 10**400], ids=["1e12", "2^63", "1e400"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_CASES))
+    def test_is_refused_or_answered(self, inputs, tmp_path, capsys, case, x):
+        argv, text_of = HOSTILE_CASES[case]
+        path = tmp_path / "input"
+        if text_of is not None:
+            path.write_text(text_of(x))
+        argv = [arg.format(x=x, file=path, **inputs) for arg in argv]
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 5
+        assert code in (0, 1, 2), err

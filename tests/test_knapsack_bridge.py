@@ -17,12 +17,17 @@ from marketsolver import (
     solve_bruteforce,
     solve_dp,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from marketsolver.knapsack_bridge import (
     _aggregate_contexts,
     read_scenario_csv,
     realized_profit_and_cost,
+    ticks_array,
     write_scenario_csv,
 )
+from marketsolver.strategy_search import _tradable
 
 EXAMPLE = KnapsackInstance(items=((3, 4), (4, 5), (5, 6)), budget=7, target=9)
 
@@ -144,9 +149,9 @@ def hand_scenario():
     subsequent returns +2 and -1) and context 0 occurs at index 2 (entry
     price 4, subsequent return +3).
     """
-    series = PriceSeries(returns=(1.0, 2.0, -1.0, 3.0), prices=(5.0, 7.0, 4.0, 9.0))
     return MultiAssetScenario(
-        assets=[series], lookback=1, budget=20, target=4, tick=1.0
+        returns=[[1.0, 2.0, -1.0, 3.0]], prices=[[5.0, 7.0, 4.0, 9.0]],
+        lookback=1, budget=20, target=4, tick=1.0,
     )
 
 
@@ -160,26 +165,27 @@ class TestScenarioToKnapsack:
         assert inst.budget == 20 and inst.target == 4
 
     def test_nothing_profitable_gives_empty_items(self):
-        series = PriceSeries(returns=(1.0, -1.0, -2.0), prices=(1.0, 1.0, 1.0))
-        sc = MultiAssetScenario(assets=[series], lookback=1, budget=5, target=1)
+        sc = MultiAssetScenario(
+            returns=[[1.0, -1.0, -2.0]], prices=[[1.0, 1.0, 1.0]], lookback=1, budget=5, target=1
+        )
         inst, mapping = scenario_to_knapsack(sc)
         assert inst.items == ()
         assert mapping == {}
         assert decide_q4(sc) == (False, None)
 
     def test_shared_context_aggregates_across_assets(self):
-        a = PriceSeries(returns=(1.0, 2.0), prices=(3.0, 3.0))
-        b = PriceSeries(returns=(1.0, 5.0), prices=(4.0, 4.0))
-        sc = MultiAssetScenario(assets=[a, b], lookback=1, budget=10, target=1)
+        sc = MultiAssetScenario(
+            returns=[[1.0, 2.0], [1.0, 5.0]], prices=[[3.0, 3.0], [4.0, 4.0]],
+            lookback=1, budget=10, target=1,
+        )
         inst, mapping = scenario_to_knapsack(sc)
         # one item: context 1 on both assets, size 3+4, value 2+5
         assert inst.items == ((7, 7),)
         assert mapping == {1: 0}
 
     def test_non_quantizing_price_rejected(self):
-        series = PriceSeries(returns=(1.0, 1.0), prices=(0.5, 1.0))
         with pytest.raises(QuantizationError):
-            MultiAssetScenario(assets=[series], lookback=1, budget=1, target=1)
+            MultiAssetScenario(returns=[[1.0, 1.0]], prices=[[0.5, 1.0]], lookback=1, budget=1, target=1)
 
 
 class TestKnapsackToScenario:
@@ -187,10 +193,9 @@ class TestKnapsackToScenario:
         inst = KnapsackInstance(items=((5, 3),), budget=5, target=3)
         sc = knapsack_to_scenario(inst)
         assert sc.lookback == 1
-        assert len(sc.assets) == 1
-        asset = sc.assets[0]
-        assert asset.prices[0] == 5.0  # level after the one formation period
-        assert asset.returns[-1] == 3.0
+        assert sc.returns.shape == sc.prices.shape == (1, 2)
+        assert sc.prices[0, 0] == 5.0  # level after the one formation period
+        assert sc.returns[0, -1] == 3.0
         assert decide_q4(sc)[0] is True
         assert decide_knapsack(inst) is True
 
@@ -220,13 +225,10 @@ class TestKnapsackToScenario:
 def random_scenario(rng, max_assets=3, max_len=10):
     n = rng.randint(3, max_len)
     t = rng.randint(1, 2)
-    assets = []
-    for _ in range(rng.randint(1, max_assets)):
-        returns = tuple(float(rng.randint(-2, 2)) for _ in range(n))
-        prices = tuple(float(rng.randint(1, 9)) for _ in range(n))
-        assets.append(PriceSeries(returns=returns, prices=prices))
+    k = rng.randint(1, max_assets)
     return MultiAssetScenario(
-        assets=assets,
+        returns=[[float(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)],
+        prices=[[float(rng.randint(1, 9)) for _ in range(n)] for _ in range(k)],
         lookback=t,
         budget=rng.randint(1, 30),
         target=rng.randint(1, 8),
@@ -243,8 +245,9 @@ class TestDecideQ4:
         assert cost <= sc.budget
 
     def test_infeasible_budget(self):
-        series = PriceSeries(returns=(1.0, 2.0), prices=(2.0, 2.0))
-        sc = MultiAssetScenario(assets=[series], lookback=1, budget=1, target=1)
+        sc = MultiAssetScenario(
+            returns=[[1.0, 2.0]], prices=[[2.0, 2.0]], lookback=1, budget=1, target=1
+        )
         assert decide_q4(sc) == (False, None)
 
     def test_matches_subset_enumeration_oracle(self):
@@ -278,10 +281,11 @@ class TestDecideQ4:
             inst = random_instance(rng, max_items=9, max_coeff=9, max_budget=20)
             sc = knapsack_to_scenario(inst)
             owners: dict[int, int] = {}
-            for a_idx, series in enumerate(sc.assets):
+            for a_idx in range(len(sc.returns)):
                 for code in _aggregate_contexts(
                     MultiAssetScenario(
-                        assets=[series],
+                        returns=sc.returns[a_idx : a_idx + 1],
+                        prices=sc.prices[a_idx : a_idx + 1],
                         lookback=sc.lookback,
                         budget=sc.budget,
                         target=sc.target,
@@ -301,9 +305,8 @@ class TestScenarioSerialization:
         assert back.lookback == sc.lookback
         assert back.budget == sc.budget and back.target == sc.target
         assert back.tick == sc.tick
-        for orig, rebuilt in zip(sc.assets, back.assets):
-            assert orig.returns.tolist() == rebuilt.returns.tolist()
-            assert orig.prices.tolist() == rebuilt.prices.tolist()
+        assert back.returns.tolist() == sc.returns.tolist()
+        assert back.prices.tolist() == sc.prices.tolist()
         assert decide_q4(back)[0] == decide_q4(sc)[0]
 
     def test_csv_is_read_through_the_series_module(self, monkeypatch):
@@ -339,16 +342,12 @@ class TestInstanceValidation:
 class TestTickHardening:
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf"), 1e19, -1e19])
     def test_non_finite_or_huge_values_raise(self, x):
-        from marketsolver.knapsack_bridge import ticks_array
-
         with pytest.raises(QuantizationError):
             ticks_array(x, 1.0)
         with pytest.raises(QuantizationError):
             ticks_array([1.0, x], 1.0)
 
     def test_ticks_are_exact_int64(self):
-        from marketsolver.knapsack_bridge import ticks_array
-
         ticks = ticks_array([0.07, -0.03, 1.5], 0.01)
         assert ticks.dtype == np.int64
         assert ticks.tolist() == [7, -3, 150]
@@ -356,22 +355,23 @@ class TestTickHardening:
         assert ticks_array(0.07, 0.01) == 7 and ticks_array(0.07, 0.01).dtype == np.int64
 
     def test_first_misfit_is_named(self):
-        from marketsolver.knapsack_bridge import ticks_array
-
         with pytest.raises(QuantizationError, match="^0.005 is not a multiple"):
             ticks_array([0.01, 0.005, 0.0025], 0.01)
 
     def test_non_finite_tick_rejected(self):
-        series = PriceSeries(returns=(1.0, 1.0), prices=(1.0, 1.0))
         with pytest.raises(ValueError):
-            MultiAssetScenario(assets=[series], lookback=1, budget=1, target=1, tick=float("nan"))
+            MultiAssetScenario(
+                returns=[[1.0, 1.0]], prices=[[1.0, 1.0]], lookback=1, budget=1, target=1,
+                tick=float("nan"),
+            )
 
     def test_int64_overflowing_totals_raise(self):
+        # refused when the scenario is built, where the ticks are made
         big = float(2**61)
-        series = PriceSeries(returns=(1.0, 1.0, 1.0, 1.0), prices=(big,) * 4)
-        sc = MultiAssetScenario(assets=[series], lookback=1, budget=1, target=1)
         with pytest.raises(QuantizationError, match="int64"):
-            scenario_to_knapsack(sc)
+            MultiAssetScenario(
+                returns=[[1.0, 1.0, 1.0, 1.0]], prices=[[big] * 4], lookback=1, budget=1, target=1
+            )
 
     def test_totals_are_python_ints(self):
         sc = hand_scenario()
@@ -381,3 +381,77 @@ class TestTickHardening:
         witness = decide_q4(sc)[1]
         profit, cost = realized_profit_and_cost(sc, witness)
         assert type(profit) is int and type(cost) is int
+
+
+def ref_scenario_arrays(returns, prices, t, tick):
+    """The per-asset loop the scenario matrices replaced, frozen as a reference.
+
+    One `PriceSeries` per asset; each asset's codes come from `_tradable`
+    on its own returns and its ticks from one `ticks_array` call over its
+    prices, then its returns.
+    """
+    assets = [PriceSeries(returns=r, prices=p) for r, p in zip(returns, prices)]
+    n = len(assets[0])
+    codes, sizes, values = [], [], []
+    for a in assets:
+        codes.append(_tradable(a.returns, t)[0])
+        ticks = ticks_array(np.concatenate([a.prices, a.returns]), tick)
+        sizes.append(ticks[t - 1 : n - 1])
+        values.append(ticks[n + t :])
+    return tuple(np.concatenate(parts) for parts in (codes, sizes, values))
+
+
+@st.composite
+def scenario_matrices(draw):
+    """1-5 assets x 2-12 periods on a tick grid, a few cells off it."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(2, 12))
+    tick = draw(st.sampled_from([1.0, 0.01, 0.25]))
+    cells = st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=k, max_size=k)
+    returns = [[r * tick for r in row] for row in draw(cells)]
+    prices = [[(abs(p) + 1) * tick for p in row] for row in draw(cells)]
+    for grid in (returns, prices):
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+            grid[i][j] += tick / 3
+    return returns, prices, draw(st.integers(1, 4)), tick
+
+
+class TestScenarioMatrices:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_matrices())
+    def test_matches_the_per_asset_reference(self, case):
+        returns, prices, t, tick = case
+        try:
+            expected = ref_scenario_arrays(returns, prices, t, tick)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                MultiAssetScenario(
+                    returns=returns, prices=prices, lookback=t, budget=1, target=1, tick=tick
+                )
+            return
+        sc = MultiAssetScenario(returns=returns, prices=prices, lookback=t, budget=1, target=1, tick=tick)
+        for got, want in zip((sc.codes, sc.sizes, sc.values), expected):
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "returns, prices, message",
+        [
+            ([1.0, 2.0], [1.0, 2.0], "2-D shape"),
+            ([[1.0, 2.0]], [[1.0, 2.0, 3.0]], "2-D shape"),
+            (np.zeros((0, 3)), np.ones((0, 3)), "at least one asset"),
+            ([[1.0, 2.0]], [[1.0, 0.0]], "strictly positive"),
+        ],
+    )
+    def test_matrices_are_validated(self, returns, prices, message):
+        with pytest.raises(ValueError, match=message):
+            MultiAssetScenario(returns=returns, prices=prices, lookback=1, budget=1, target=1)
+
+    def test_read_only_matrices_are_kept_and_writable_ones_copied(self):
+        kept, mine = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
+        kept.setflags(write=False)
+        sc = MultiAssetScenario(returns=kept, prices=mine, lookback=1, budget=1, target=1)
+        assert sc.returns is kept
+        assert sc.prices is not mine and not sc.prices.flags.writeable
+        mine[0, 0] = 9.0
+        assert sc.prices.tolist() == [[3.0, 4.0]]

@@ -237,6 +237,17 @@ class TestPartitionReport:
                 MomentumConfig(formation_months=2, holding_months=2, decile_count=4),
             )
 
+    def test_breakpoint_before_the_first_month_rejected(self):
+        # it used to print the reversed period 1980-01..1970-01
+        panel = gen_momentum_panel(20, 24, 0.0, seed=9)
+        cfg = MomentumConfig(formation_months=2, holding_months=2, decile_count=4)
+        with pytest.raises(ValueError, match="precedes the panel's first month '1980-01'"):
+            partition_report(panel, ["1970-01", panel.months[10]], cfg)
+        assert partition_report(panel, [panel.months[0]], cfg).rows[0][0] == "1980-01..1980-01"
+        # a breakpoint past the last month is one well-formed period
+        (row,) = partition_report(panel, ["1999-12"], cfg).rows
+        assert row[0] == "1980-01..1999-12" and row[2] == panel.n_entries()
+
 
 def lag_one_autocorrelation(panel):
     demeaned = panel.return_matrix - panel.return_matrix.mean(axis=1, keepdims=True)

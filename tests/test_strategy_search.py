@@ -141,7 +141,9 @@ class TestBruteForceBest:
 
 
 def _scenario(srs, t):
-    return MultiAssetScenario(assets=[srs], lookback=t, budget=1, target=1)
+    return MultiAssetScenario(
+        returns=srs.returns[None], prices=srs.prices[None], lookback=t, budget=1, target=1
+    )
 
 
 WINDOW_CALLERS = {
