@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSampleError, InsufficientDataError
 from .series import PanelData, _check_panel_size, _increasing
@@ -108,6 +107,59 @@ def t_statistic(returns: Sequence[float]) -> float:
     return float(arr.mean() / (sd / math.sqrt(n)))
 
 
+def _window_sums(X: np.ndarray, m: int, n: int, lo: int = 0) -> np.ndarray:
+    """Row c is X[lo + c] + ... + X[lo + c + m - 1], for c < n.
+
+    Bit for bit numpy's sum of each window (0.0 plus its pairwise_sum),
+    from m shifted-slice adds instead of one reduce call per window. Below
+    8 terms: left to right. Up to 128: 8 accumulators, combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in order. Above 128:
+    halves split at a multiple of 8. Seeding each block with 0.0 stands
+    for the leading 0.0; either only turns -0.0 into 0.0.
+    """
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _window_sums(X, half, n, lo) + _window_sums(X, m - half, n, lo + half)
+    terms = [X[lo + j : lo + j + n] for j in range(m)]
+    if m < 8:
+        acc = terms[0] + 0.0
+        for term in terms[1:]:
+            acc += term
+        return acc
+    r = [terms[0] + 0.0, *terms[1:8]]
+    for i in range(8, m - m % 8, 8):
+        r = [a + b for a, b in zip(r, terms[i : i + 8])]
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[m - m % 8 :]:
+        acc += term
+    return acc
+
+
+def _rank(keys: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+    """np.lexsort((keys, ~eligible), axis=1) on each row's eligible prefix.
+
+    One unstable argsort, ineligible keys set to +inf in place (NaN keys
+    would knock numpy's SIMD sort off its fast path). Rows where np.sort
+    shows equal finite neighbours (0.0 equals -0.0) are sorted again as
+    ints, run of equal keys * columns + column: lexsort's stable tie
+    order. An eligible key that is not finite (an overflowed window sum)
+    would tie with or sort after +inf, so then lexsort itself runs.
+    """
+    if not np.isfinite(keys[eligible]).all():
+        return np.lexsort((keys, ~eligible), axis=1)
+    width = keys.shape[1]
+    np.copyto(keys, np.inf, where=~eligible)
+    order = np.argsort(keys, axis=1)
+    ranked = np.sort(keys, axis=1)
+    step = ranked[:, 1:] != ranked[:, :-1]
+    tied = np.flatnonzero((~step & (ranked[:, 1:] < np.inf)).any(axis=1))
+    if tied.size:
+        runs = np.zeros((tied.size, width), dtype=np.int64)
+        np.cumsum(step[tied], axis=1, out=runs[:, 1:])
+        order[tied] = np.sort(runs * width + order[tied], axis=1) % width
+    return order
+
+
 def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
     """Winners-minus-losers backtest over the panel.
 
@@ -119,7 +171,11 @@ def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
     weights renormalized. More buckets than assets leave every month
     unranked, so such a count acts as assets + 1, which stays in int64.
 
-    Every cohort is ranked at once, and each leg is one gathered
+    Every cohort is ranked at once. Formation scores are J shifted-slice
+    adds in numpy's pairwise order, bit for bit numpy's window sums. One
+    argsort ranks every cohort; cohorts with equal finite scores are
+    sorted again so ties keep ascending asset order, and np.lexsort runs
+    only when an eligible score overflowed. Each leg is one gathered
     (cohorts x k) block averaged row by row, so each float is added in the
     same order as a per-cohort `mean` would add it.
     """
@@ -131,31 +187,26 @@ def run_backtest(panel: PanelData, cfg: MomentumConfig) -> BacktestResult:
             f"panel spans {M} months; need at least {J + K + skip + 1}"
         )
     R = panel.return_matrix
-    observed = ~np.isnan(R)
-    seen = np.zeros((R.shape[0], M + 1), dtype=np.intp)  # observed months before j
-    np.cumsum(observed, axis=1, out=seen[:, 1:])
+    X = np.ascontiguousarray(R.T)  # months x assets: a cohort's window is rows
+    seen = np.zeros((M + 1, X.shape[1]), dtype=np.intp)  # observed months before j
+    np.cumsum(~np.isnan(X), axis=0, out=seen[1:])
 
     # Cohort q is formed at month c = first + q, ranks on window q (months
     # q..q+J-1 = c-skip-J+1..c-skip) and trades months c+1..c+K.
     first = J - 1 + skip
     formed = np.arange(first, M - 1)
     n_cohorts = len(formed)
-    # numpy reduces each J-wide window on its own, as it did the rows of a
-    # per-cohort (assets x J) block.
-    scores = sliding_window_view(R, J, axis=1)[:, :n_cohorts].sum(axis=-1)
-    eligible = seen[:, J : J + n_cohorts] - seen[:, :n_cohorts] == J
-    eligible &= seen[:, first + 1 : M] >= cfg.required_history
-    # Eligible assets first, by score; lexsort is stable, so ties keep
-    # ascending asset order.
-    order = np.lexsort((scores, ~eligible), axis=0)
-    ranked_count = eligible.sum(axis=0)
+    eligible = seen[J : J + n_cohorts] - seen[:n_cohorts] == J
+    eligible &= seen[first + 1 : M] >= cfg.required_history
+    order = _rank(_window_sums(X, J, n_cohorts), eligible)
+    ranked_count = eligible.sum(axis=1)
     leg = ranked_count // D
     cohort_ret = np.zeros((n_cohorts, K))
     live = np.zeros((n_cohorts, K), dtype=bool)
     for k in np.unique(leg[leg > 0]).tolist():
         q = np.flatnonzero(leg == k)
-        losers = order[:k, q].T
-        winners = order[(ranked_count[q] - k)[:, None] + np.arange(k), q[:, None]]
+        losers = order[q, :k]
+        winners = order[q[:, None], (ranked_count[q] - k)[:, None] + np.arange(k)]
         for h in range(1, K + 1):
             held = formed[q] + h
             inside = held < M
@@ -221,11 +272,11 @@ def partition_report(
         raise ValueError("breakpoints must be strictly increasing")
     if not breakpoints:
         raise ValueError("need at least one breakpoint")
-    result = run_backtest(panel, cfg)
     if breakpoints[0] < panel.months[0]:
         raise ValueError(
             f"breakpoint {breakpoints[0]!r} precedes the panel's first month {panel.months[0]!r}"
         )
+    result = run_backtest(panel, cfg)
     ends = list(breakpoints)
     if ends[-1] < panel.months[-1]:
         ends.append(panel.months[-1])

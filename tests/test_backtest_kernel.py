@@ -14,6 +14,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from marketsolver import (
     BacktestResult,
@@ -26,6 +27,7 @@ from marketsolver import (
     t_statistic,
 )
 from marketsolver.cli import main
+from marketsolver.momentum import _rank, _window_sums
 
 # ------------------------------------------------------ frozen reference
 
@@ -171,6 +173,35 @@ class TestAgainstTheLoop:
         assert got.months_skipped == 3
         assert got.months_used < len(months) - 2
 
+    def test_long_formation_windows(self):
+        # 8 accumulators from J = 8, a remainder at 9, 17 and 129, whole
+        # 8-term blocks at 64 and 128, halves split at a multiple of 8 past 128
+        for seed, J in enumerate([8, 9, 17, 64, 128, 129, 150]):
+            rng = np.random.default_rng(seed)
+            panel = gen_momentum_panel(30, J + 30, 0.1, seed=seed)
+            assert_identical(panel, MomentumConfig(J, 2, decile_count=3, skip_months=1))
+            returns = rng.choice([-0.3, -0.0, 0.0, 0.1, 0.7], (30, J + 30))
+            returns[rng.random(returns.shape) < 0.01] = np.nan
+            ticks = PanelData(panel.assets, panel.months, returns)
+            assert_identical(ticks, MomentumConfig(J, 1, decile_count=4))
+
+    def test_overflowing_window_sums(self):
+        # finite returns near +-1e308: window sums overflow to +-inf, and
+        # to NaN where pairwise accumulators of both signs overflow, so the
+        # ranking falls back to lexsort
+        months = [f"{2000 + t // 12:04d}-{t % 12 + 1:02d}" for t in range(40)]
+        assets = [f"A{i:03d}" for i in range(20)]
+        for seed, J in enumerate([2, 3, 8, 10, 17]):
+            rng = np.random.default_rng(seed)
+            returns = rng.choice([1e308, -1e308, 0.6e308, -0.9e308, 0.0, 1.0], (20, 40))
+            returns[rng.random(returns.shape) < 0.05] = np.nan
+            windows = sliding_window_view(returns, J, axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = windows.sum(axis=-1)[~np.isnan(windows).any(axis=-1)]
+                assert_identical(PanelData(assets, months, returns), MomentumConfig(J, 2, decile_count=3))
+            assert np.isinf(sums).any()
+            assert J < 8 or np.isnan(sums).any()
+
     def test_criterion_08_panels(self):
         # the 200 null and 50 power panels of acceptance criterion 08
         for seed in range(200):
@@ -179,6 +210,43 @@ class TestAgainstTheLoop:
         for seed in range(50):
             panel = gen_momentum_panel(100, 240, persistence=0.15, seed=1000 + seed)
             assert_identical(panel, MomentumConfig(holding_months=1))
+
+
+# ------------------------------------------- window sums and the ranking
+
+
+def test_window_sums_are_numpys_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for J in [*range(1, 18), 64, 127, 128, 129, 136, 200, 300]:
+        shape = (7, J + 25)
+        wide = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+        ticks = rng.choice([-0.3, -0.1, -0.0, 0.0, 0.1, 0.2, 0.7], shape)
+        for R in (wide, ticks):
+            want = sliding_window_view(R, J, axis=1).sum(axis=-1)
+            got = _window_sums(np.ascontiguousarray(R.T), J, shape[1] - J + 1).T
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), J
+
+
+def test_ranking_is_lexsorts_on_every_eligible_prefix():
+    rng = np.random.default_rng(1)
+    alphabets = [
+        [-0.3, -0.0, 0.0, 0.1, 0.7],
+        [-0.0, 0.0],
+        [-1.0, 1.0, 2.0],
+        [-np.inf, -0.0, 0.0, np.inf, np.nan, 0.5],  # overflowed sums: lexsort runs
+    ]
+    for case in range(3000):
+        rows, width = int(rng.integers(1, 12)), int(rng.integers(1, 25))
+        alphabet = alphabets[case % len(alphabets)]
+        keys = rng.choice(alphabet, (rows, width))
+        if case % 5 == 0:  # mostly distinct scores
+            keys = np.where(rng.random((rows, width)) < 0.7, rng.normal(size=(rows, width)), keys)
+        eligible = rng.random((rows, width)) < rng.choice([0.3, 0.8, 1.0])
+        keys[~eligible & (rng.random((rows, width)) < 0.5)] = np.nan  # holes
+        want = np.lexsort((keys, ~eligible), axis=1)
+        got = _rank(keys.copy(), eligible)
+        for row, count in enumerate(eligible.sum(axis=1).tolist()):
+            assert got[row, :count].tolist() == want[row, :count].tolist(), case
 
 
 # --------------------------------------------------- CLI output, pinned

@@ -243,6 +243,10 @@ class TestPartitionReport:
         cfg = MomentumConfig(formation_months=2, holding_months=2, decile_count=4)
         with pytest.raises(ValueError, match="precedes the panel's first month '1980-01'"):
             partition_report(panel, ["1970-01", panel.months[10]], cfg)
+        # checked before the backtest runs, so a panel too short to backtest
+        # gets the same error
+        with pytest.raises(ValueError, match="precedes the panel's first month"):
+            partition_report(panel, ["1970-01"], MomentumConfig(formation_months=24))
         assert partition_report(panel, [panel.months[0]], cfg).rows[0][0] == "1980-01..1980-01"
         # a breakpoint past the last month is one well-formed period
         (row,) = partition_report(panel, ["1999-12"], cfg).rows
