@@ -16,10 +16,16 @@ import json
 import math
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import knapsack_bridge, momentum, sat_market, series, strategy_search
 from .errors import MarketSolverError, WitnessFormatError
+
+if TYPE_CHECKING:
+    from . import momentum, series
+
+# Each command imports the engines it runs, so `sat` and `--help` never
+# load numpy. Engines are called as module attributes (series.load_panel_csv),
+# which is where a tracer that patches them finds the calls.
 
 
 def _read_text(path: str) -> str:
@@ -41,6 +47,8 @@ def _json_of(text: str, **kwargs):
 
 
 def _load_series(path: str, asset: Optional[str]) -> series.PriceSeries:
+    from . import series
+
     panel = series.load_panel_csv(_read_text(path))
     if asset is None:
         if len(panel.assets) != 1:
@@ -83,6 +91,8 @@ _non_negative_int = _int_at_least(0)
 
 
 def _cmd_strategy(args) -> int:
+    from . import strategy_search
+
     srs = _load_series(args.file, args.asset)
     t = args.lookback
     if args.action == "optimal":
@@ -102,6 +112,8 @@ def _cmd_strategy(args) -> int:
 
 
 def _cmd_knapsack(args) -> int:
+    from . import knapsack_bridge
+
     if args.action in ("solve", "decide"):
         inst = knapsack_bridge.KnapsackInstance.from_json(_read_text(args.file))
         if args.action == "solve":
@@ -179,6 +191,8 @@ def _parse_witness(text: str, num_vars: int) -> dict[int, bool]:
 
 
 def _cmd_sat(args) -> int:
+    from . import sat_market
+
     formula = sat_market.parse_dimacs(_read_text(args.file))
     if args.action == "encode":
         state = sat_market.MarketState.for_formula(formula)
@@ -191,7 +205,8 @@ def _cmd_sat(args) -> int:
         )
     elif args.action == "solve":
         # budget exhaustion is a reported status, not a failure
-        result = sat_market.market_decides_sat(formula, search_budget=args.budget)
+        budget = sat_market.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
+        result = sat_market.market_decides_sat(formula, search_budget=budget)
         _emit(result.to_dict())
     else:  # verify
         if not args.witness:
@@ -206,6 +221,8 @@ def _cmd_sat(args) -> int:
 
 
 def _momentum_config(args) -> momentum.MomentumConfig:
+    from . import momentum
+
     return momentum.MomentumConfig(
         formation_months=args.formation,
         holding_months=args.holding,
@@ -215,6 +232,10 @@ def _momentum_config(args) -> momentum.MomentumConfig:
 
 
 def _cmd_momentum(args) -> int:
+    import numpy as np
+
+    from . import momentum, series
+
     if args.action == "gen":
         panel = momentum.gen_momentum_panel(
             args.assets, args.months, args.persistence, args.seed
@@ -229,16 +250,19 @@ def _cmd_momentum(args) -> int:
         return 0
     panel = series.load_panel_csv(_read_text(args.file))
     cfg = _momentum_config(args)
-    if args.action == "backtest":
-        result = momentum.run_backtest(panel, cfg)
-        _emit(result.to_dict())
-    else:  # partition
-        breakpoints = [b.strip() for b in args.breakpoints.split(",") if b.strip()]
-        report = momentum.partition_report(panel, breakpoints, cfg)
-        if args.format == "csv":
-            sys.stdout.write(report.to_csv())
-        else:
-            _emit(report.to_dicts())
+    # returns near the float64 limit overflow in the sums; the results'
+    # serializers report that as one domain error, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.action == "backtest":
+            result = momentum.run_backtest(panel, cfg)
+            _emit(result.to_dict())
+        else:  # partition
+            breakpoints = [b.strip() for b in args.breakpoints.split(",") if b.strip()]
+            report = momentum.partition_report(panel, breakpoints, cfg)
+            if args.format == "csv":
+                sys.stdout.write(report.to_csv())
+            else:
+                _emit(report.to_dicts())
     return 0
 
 
@@ -274,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sat = sub.add_parser("sat", help="CNF to order flow; solve and verify")
     p_sat.add_argument("action", choices=["encode", "solve", "verify"])
     p_sat.add_argument("file", help="DIMACS cnf path, or - for stdin")
-    p_sat.add_argument("--budget", type=_positive_int, default=sat_market.DEFAULT_SEARCH_BUDGET)
+    p_sat.add_argument("--budget", type=_positive_int, default=None)
     p_sat.add_argument("--witness", help="witness JSON path (verify)")
     p_sat.set_defaults(func=_cmd_sat)
 

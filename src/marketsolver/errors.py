@@ -62,3 +62,7 @@ class InsufficientDataError(MarketSolverError):
 
 class DegenerateSampleError(MarketSolverError):
     """Sample too small or zero-variance for a t-statistic."""
+
+
+class ResultOverflowError(MarketSolverError):
+    """A result overflowed float64: it is infinite or not a number."""

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InsufficientDataError
+from .errors import DegenerateSampleError, InsufficientDataError, ResultOverflowError
 from .series import PanelData, _check_panel_size, _increasing
 
 SHOCK_SCALE = 1.0
@@ -66,11 +66,12 @@ class BacktestResult:
     def to_dict(self) -> dict:
         return {
             "monthly_returns": [
-                {"month": m, "return": r} for m, r in self.monthly_returns
+                {"month": m, "return": _finite(r, f"return for {m}")}
+                for m, r in self.monthly_returns
             ],
-            "cumulative": self.cumulative,
+            "cumulative": _finite(self.cumulative, "cumulative return"),
             # undefined (NaN) when the monthly series is constant or empty
-            "t_stat": None if math.isnan(self.t_stat) else self.t_stat,
+            "t_stat": None if math.isnan(self.t_stat) else _finite(self.t_stat, "t-statistic"),
             "months_used": self.months_used,
             "months_skipped": self.months_skipped,
         }
@@ -85,14 +86,22 @@ class PartitionReport:
     def to_csv(self) -> str:
         lines = ["period,performance,data_count"]
         for period, perf, count in self.rows:
-            lines.append(f"{period},{perf!r},{count}")
+            lines.append(f"{period},{_finite(perf, f'performance of {period}')!r},{count}")
         return "\n".join(lines) + "\n"
 
     def to_dicts(self) -> list[dict]:
         return [
-            {"period": period, "performance": perf, "data_count": count}
+            {"period": period, "performance": _finite(perf, f"performance of {period}"),
+             "data_count": count}
             for period, perf, count in self.rows
         ]
+
+
+def _finite(value: float, what: str) -> float:
+    """value, unless float64 overflowed on the way to it (inf or NaN)."""
+    if not math.isfinite(value):
+        raise ResultOverflowError(f"{what} is {value!r}: the panel's returns overflow float64")
+    return value
 
 
 def t_statistic(returns: Sequence[float]) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -61,8 +62,24 @@ class CnfFormula:
                         f"clause {ci + 1} uses variable {var} outside 1..{self.num_vars}"
                     )
 
-    def variables_in_use(self) -> set[int]:
-        return {var for clause in self.clauses for var, _ in clause}
+    @classmethod
+    def _checked(
+        cls, num_vars: int, clauses: tuple[tuple[Literal, Literal, Literal], ...]
+    ) -> "CnfFormula":
+        """A formula from clauses a parser has already checked: three
+        literals each, every variable within 1..num_vars, num_vars >= 1."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num_vars", num_vars)
+        object.__setattr__(f, "clauses", clauses)
+        return f
+
+    def variables_in_use(self) -> frozenset[int]:
+        """The variables some clause names, built once per formula."""
+        return self._in_use
+
+    @cached_property
+    def _in_use(self) -> frozenset[int]:
+        return frozenset(var for clause in self.clauses for var, _ in clause)
 
 
 class Side(enum.Enum):
@@ -237,7 +254,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsFormatError(f"header declares no variables in {line!r}")
             clauses = _parse_plain_clauses(lines[at + 1:], *header)
             if clauses is not None:
-                return CnfFormula(num_vars=header[0], clauses=clauses)
+                return CnfFormula._checked(header[0], clauses)
             continue
         if header is None:
             raise DimacsFormatError("clause data before the problem header")
@@ -270,7 +287,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsFormatError(
             f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    return CnfFormula._checked(num_vars, tuple(clauses))
 
 
 def _parse_plain_clauses(

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +519,25 @@ class TestHardening:
         assert code == 1
         assert out == ""
         assert "JSON" in err
+
+    @pytest.mark.parametrize("action", [["backtest"], ["partition", "--format", "csv"],
+                                        ["partition", "--format", "json"]])
+    def test_overflowing_backtest_is_one_domain_error(self, tmp_path, capsys, action):
+        # finite returns near +-1e308 overflow in the window sums and legs
+        rng = np.random.default_rng(0)
+        values = rng.choice([1e308, -1e308, -9e307, 0.5], (12, 30)).tolist()
+        rows = [f"{2000 + t // 12}-{t % 12 + 1:02d},A{i:02d},{values[i][t]!r}"
+                for i in range(12) for t in range(30)]
+        path = tmp_path / "panel.csv"
+        path.write_text("date,asset,return\n" + "\n".join(rows) + "\n")
+        argv = ["momentum", action[0], str(path), "--formation", "8", "--holding", "1",
+                "--deciles", "3", "--breakpoints", "2001-01", *action[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "overflow float64" in err
 
     def test_undefined_t_stat_is_null(self, tmp_path, capsys):
         rows = [f"2020-{m:02d},A{i:02d},0.5" for m in range(1, 10) for i in range(12)]

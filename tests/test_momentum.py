@@ -8,6 +8,7 @@ from marketsolver import (
     InsufficientDataError,
     MomentumConfig,
     PanelData,
+    ResultOverflowError,
     count_data_points,
     gen_momentum_panel,
     partition_report,
@@ -251,6 +252,36 @@ class TestPartitionReport:
         # a breakpoint past the last month is one well-formed period
         (row,) = partition_report(panel, ["1999-12"], cfg).rows
         assert row[0] == "1980-01..1999-12" and row[2] == panel.n_entries()
+
+
+class TestOverflowedResults:
+    def overflowed(self):
+        rng = np.random.default_rng(3)
+        returns = rng.choice([1e308, -1e308, -9e307, 0.5], (12, 30))
+        panel = gen_momentum_panel(12, 30, 0.0, seed=0)
+        panel = PanelData(panel.assets, panel.months, returns)
+        cfg = MomentumConfig(formation_months=8, holding_months=1, decile_count=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_backtest(panel, cfg), partition_report(panel, [panel.months[12]], cfg)
+
+    def test_results_keep_their_values_and_refuse_to_serialize(self):
+        result, report = self.overflowed()
+        # the library results stay as computed, infinities and NaN included
+        assert not all(math.isfinite(r) for _, r in result.monthly_returns)
+        assert not all(math.isfinite(perf) for _, perf, _ in report.rows)
+        for serialize in (result.to_dict, report.to_csv, report.to_dicts):
+            with pytest.raises(ResultOverflowError, match="overflow float64"):
+                serialize()
+
+    def test_finite_results_serialize_as_before(self):
+        panel = gen_momentum_panel(20, 36, 0.1, seed=5)
+        cfg = MomentumConfig(formation_months=2, holding_months=2, decile_count=4)
+        result = run_backtest(panel, cfg)
+        assert result.to_dict()["cumulative"] == result.cumulative
+        report = partition_report(panel, [panel.months[17]], cfg)
+        assert [row["performance"] for row in report.to_dicts()] == [
+            perf for _, perf, _ in report.rows
+        ]
 
 
 def lag_one_autocorrelation(panel):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -118,6 +119,31 @@ class TestParseDimacs:
     def test_format_round_trip(self):
         f = parse_dimacs(EXAMPLE_DIMACS)
         assert parse_dimacs(format_dimacs(f)) == f
+
+
+class TestParsedFormula:
+    def test_parser_builds_the_formula_without_rechecking_it(self):
+        # both readers check every literal, so the constructor's checks are skipped
+        rng = random.Random(11)
+        for _ in range(50):
+            f = random_formula(rng)
+            text = format_dimacs(f)
+            with mock.patch.object(CnfFormula, "__post_init__", side_effect=AssertionError):
+                parsed, walked = parse_dimacs(text), _line_walk_outcome(text)
+            assert parsed == walked == f
+            assert parsed.variables_in_use() == {v for c in f.clauses for v, _ in c}
+
+    def test_variables_in_use_is_built_once_per_solve(self, monkeypatch):
+        built = []
+        real = CnfFormula._in_use.func
+        counted = cached_property(lambda f: built.append(f) or real(f))
+        counted.__set_name__(CnfFormula, "_in_use")
+        monkeypatch.setattr(CnfFormula, "_in_use", counted)
+        f = parse_dimacs(EXAMPLE_DIMACS)
+        assert market_decides_sat(f).status == "SAT"  # search, book and encoding
+        assert built == [f]
+        groups = encode_market(f, MarketState.for_formula(f))
+        assert len(groups) == 2 and built == [f]
 
 
 def _dimacs_outcome(text):
