@@ -269,61 +269,86 @@ def _cmd_momentum(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _strategy_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["optimal", "brute", "decide"])
+    p.add_argument("file", help="panel CSV path, or - for stdin")
+    p.add_argument("--lookback", type=_positive_int, required=True)
+    p.add_argument("--asset", default=None)
+    p.add_argument("--target", type=float, default=0.0)
+
+
+def _knapsack_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["solve", "decide", "reduce", "to-market"])
+    p.add_argument("file", help="instance JSON or scenario CSV, - for stdin")
+    p.add_argument("--sidecar", help="scenario sidecar JSON (reduce)")
+    p.add_argument("--tick", type=float, default=1.0)
+    p.add_argument("--strict", action="store_true",
+                   help="require profit strictly above the target (target+1 tick)")
+    p.add_argument("--out", help="output path prefix for to-market")
+
+
+def _sat_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["encode", "solve", "verify"])
+    p.add_argument("file", help="DIMACS cnf path, or - for stdin")
+    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--witness", help="witness JSON path (verify)")
+
+
+def _momentum_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["backtest", "partition", "gen"])
+    p.add_argument("file", nargs="?", default="-",
+                   help="panel CSV path, or - for stdin (unused by gen)")
+    p.add_argument("--formation", type=_positive_int, default=6)
+    p.add_argument("--holding", type=_positive_int, default=6)
+    p.add_argument("--deciles", type=_positive_int, default=10)
+    p.add_argument("--skip", type=_non_negative_int, default=0)
+    p.add_argument("--breakpoints", default="",
+                   help="comma-separated period-end months (partition)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--assets", type=_positive_int, default=100)
+    p.add_argument("--months", type=_positive_int, default=240)
+    p.add_argument("--persistence", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
+
+
+# name -> (help, adds the subcommand's arguments, handler), in --help order
+_COMMANDS = {
+    "strategy": ("search strategies on one series", _strategy_arguments, _cmd_strategy),
+    "knapsack": ("exact solvers and both reductions", _knapsack_arguments, _cmd_knapsack),
+    "sat": ("CNF to order flow; solve and verify", _sat_arguments, _cmd_sat),
+    "momentum": ("panel backtests and reports", _momentum_arguments, _cmd_momentum),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, with the arguments of `command` only.
+
+    Every subcommand is listed with its help, so the top-level help, usage
+    and "invalid choice" error do not depend on `command`. With `command`
+    None, every subcommand gets its arguments and handler.
+    """
     parser = argparse.ArgumentParser(
         prog="marketsolver",
         description="Strategy search, knapsack reductions, CNF order-flow "
         "encodings, and momentum backtests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_strategy = sub.add_parser("strategy", help="search strategies on one series")
-    p_strategy.add_argument("action", choices=["optimal", "brute", "decide"])
-    p_strategy.add_argument("file", help="panel CSV path, or - for stdin")
-    p_strategy.add_argument("--lookback", type=_positive_int, required=True)
-    p_strategy.add_argument("--asset", default=None)
-    p_strategy.add_argument("--target", type=float, default=0.0)
-    p_strategy.set_defaults(func=_cmd_strategy)
-
-    p_knap = sub.add_parser("knapsack", help="exact solvers and both reductions")
-    p_knap.add_argument("action", choices=["solve", "decide", "reduce", "to-market"])
-    p_knap.add_argument("file", help="instance JSON or scenario CSV, - for stdin")
-    p_knap.add_argument("--sidecar", help="scenario sidecar JSON (reduce)")
-    p_knap.add_argument("--tick", type=float, default=1.0)
-    p_knap.add_argument("--strict", action="store_true",
-                        help="require profit strictly above the target (target+1 tick)")
-    p_knap.add_argument("--out", help="output path prefix for to-market")
-    p_knap.set_defaults(func=_cmd_knapsack)
-
-    p_sat = sub.add_parser("sat", help="CNF to order flow; solve and verify")
-    p_sat.add_argument("action", choices=["encode", "solve", "verify"])
-    p_sat.add_argument("file", help="DIMACS cnf path, or - for stdin")
-    p_sat.add_argument("--budget", type=_positive_int, default=None)
-    p_sat.add_argument("--witness", help="witness JSON path (verify)")
-    p_sat.set_defaults(func=_cmd_sat)
-
-    p_mom = sub.add_parser("momentum", help="panel backtests and reports")
-    p_mom.add_argument("action", choices=["backtest", "partition", "gen"])
-    p_mom.add_argument("file", nargs="?", default="-",
-                       help="panel CSV path, or - for stdin (unused by gen)")
-    p_mom.add_argument("--formation", type=_positive_int, default=6)
-    p_mom.add_argument("--holding", type=_positive_int, default=6)
-    p_mom.add_argument("--deciles", type=_positive_int, default=10)
-    p_mom.add_argument("--skip", type=_non_negative_int, default=0)
-    p_mom.add_argument("--breakpoints", default="",
-                       help="comma-separated period-end months (partition)")
-    p_mom.add_argument("--format", choices=["json", "csv"], default="json")
-    p_mom.add_argument("--assets", type=_positive_int, default=100)
-    p_mom.add_argument("--months", type=_positive_int, default=240)
-    p_mom.add_argument("--persistence", type=float, default=0.0)
-    p_mom.add_argument("--seed", type=int, default=0)
-    p_mom.set_defaults(func=_cmd_momentum)
-
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser's only option is -h, so argparse dispatches on the
+    # first token not starting with "-"; the other subcommands' arguments
+    # would cost about half the time of parsing a short command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = build_parser(command if command in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

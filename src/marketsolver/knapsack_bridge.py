@@ -142,12 +142,13 @@ class MultiAssetScenario:
         returns, prices = (np.asarray(a, dtype=np.float64) for a in (self.returns, self.prices))
         if returns.ndim != 2 or returns.shape != prices.shape:
             raise ValueError(f"returns {returns.shape} and prices {prices.shape} need a 2-D shape")
+        # prices may be built from the tick, so a bad tick is named first
+        if not 0 < self.tick < math.inf:
+            raise ValueError("tick must be positive and finite")
         if np.any(prices <= 0):
             raise ValueError("price levels must be strictly positive")
         if self.budget < 1 or self.target < 1:
             raise ValueError("budget and target must be positive integers")
-        if not 0 < self.tick < math.inf:
-            raise ValueError("tick must be positive and finite")
         if not len(returns):
             raise ValueError("scenario needs at least one asset")
         t = self.lookback

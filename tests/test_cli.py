@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marketsolver import cli
 from marketsolver.cli import main
 
 EXAMPLE_DIMACS = "p cnf 4 2\n1 2 -3 0\n1 -2 4 0\n"
@@ -48,6 +49,40 @@ class TestUsage:
     def test_unknown_flag_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["sat", "solve", "-", "--frobnicate"])
         assert code == 2
+
+    # main builds only the named subcommand's arguments; help, usage errors and
+    # the parsed values must be those of the parser with every subcommand
+    EQUIVALENCE_ARGV = [
+        [], ["-h"], ["--he"], ["-h", "sat"],
+        ["-x", "sat", "solve", "f"], ["--", "sat", "solve", "f"], ["-", "sat"], ["-5", "sat"],
+        ["bogus"], ["SAT", "solve", "f"],
+        *([command, "-h"] for command in ("strategy", "knapsack", "sat", "momentum")),
+        *([command] for command in ("strategy", "knapsack", "sat", "momentum")),
+        *([command, "bogus", "f"] for command in ("strategy", "knapsack", "sat", "momentum")),
+        ["strategy", "optimal", "f", "g", "--lookback", "1"],
+        ["knapsack", "solve", "f", "g"],
+        ["sat", "solve", "f", "g"],
+        ["momentum", "gen", "f", "g"],
+        ["knapsack", "to-market", "inst.json", "--tic", "2"],
+        ["sat", "solve", "f", "--budget", "0"],
+    ]
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", EQUIVALENCE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_matches_the_full_parser(self, tmp_path, capsys, monkeypatch, argv, columns):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", columns)
+        (tmp_path / "inst.json").write_text(json.dumps(TestKnapsackCommands.INSTANCE))
+        got = run_cli(capsys, argv)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert run_cli(capsys, argv) == got
+
+    def test_a_one_command_parser_has_no_arguments_for_another(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser("sat").parse_args(["knapsack", "solve", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: solve x" in capsys.readouterr().err
 
 
 class TestStrategyCommands:
@@ -215,6 +250,13 @@ class TestKnapsackInputs:
         code, out, err = run_cli(capsys, ["knapsack", "to-market", str(path)])
         assert (code, out) == (1, "")
         assert "tick totals exceed the exact int64 range" in err
+
+    @pytest.mark.parametrize("tick", ["0", "-1"])
+    def test_to_market_names_a_bad_tick(self, tmp_path, capsys, tick):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self.GOOD))
+        code, out, err = run_cli(capsys, ["knapsack", "to-market", str(path), "--tick", tick])
+        assert (code, out, err) == (1, "", "error: tick must be positive and finite\n")
 
     @pytest.mark.parametrize(
         "field, bad",

@@ -365,6 +365,12 @@ class TestTickHardening:
                 tick=float("nan"),
             )
 
+    @pytest.mark.parametrize("tick", [0.0, -1.0, -float("inf")])
+    def test_backward_reduction_names_a_bad_tick(self, tick):
+        # the prices are sizes times the tick, so they turn bad with it
+        with pytest.raises(ValueError, match="^tick must be positive and finite$"):
+            knapsack_to_scenario(EXAMPLE, tick=tick)
+
     def test_int64_overflowing_totals_raise(self):
         # refused when the scenario is built, where the ticks are made
         big = float(2**61)
