@@ -56,10 +56,9 @@ def _load_series(path: str, asset: Optional[str]) -> series.PriceSeries:
                 f"panel has {len(panel.assets)} assets; pick one with --asset"
             )
         asset = panel.assets[0]
-    # strategy profits never read price levels; when the data is not
-    # compoundable (returns <= -1, e.g. unit moves), synthesize additive
-    # levels instead of failing
-    return panel.series_for(asset, synthesis="auto")
+    # no strategy engine reads price levels, so they are the additive ones
+    # that every return sequence has
+    return panel.series_for(asset, synthesis="shifted")
 
 
 def _emit(obj) -> None:
@@ -358,8 +357,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MarketSolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, KeyError, ValueError) as exc:
+        # a KeyError's str() is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -4,17 +4,9 @@ Budget-constrained long-or-out strategy selection over several assets is
 the same problem as 0/1 knapsack: each distinct direction context is an
 item whose size is the capital needed to buy at its occurrences and whose
 value is the return earned after them. Both reduction directions live
-here, plus the exact solver `solve_dp` and the subset-enumeration brute
+here, plus the exact solver `solve_dp` (a Pareto front, or a DP over
+budgets where that needs fewer bytes) and the subset-enumeration brute
 force that validates it.
-
-`solve_dp` has two paths and picks one by counted work. With n items of
-which n' fit the budget B, it enumerates the 2**n' subsets when n' is at
-most MAX_SUBSET_ITEMS (20) and 2**n' * SUBSET_ENTRY_WEIGHT is below the
-DP's (n+1)*(B+1) cells; otherwise it runs the pseudo-polynomial DP. The
-weight W is the measured cost of one subset entry in DP cells; counting
-both in raw units would send 20 items at B = 150,000 to the slower path.
-A reduced scenario has a few items and a budget in cents, so it takes the
-subset path; many items with a small budget take the DP.
 
 All knapsack quantities are positive integers in units of a configurable
 tick; prices and returns must quantize exactly.
@@ -36,12 +28,8 @@ from .strategy_search import LONG, MAX_TABLE_BITS, OUT, TechnicalStrategy, _trad
 
 MAX_BRUTE_ITEMS = 25
 MAX_DP_CELLS = 50_000_000
-# The subset path holds two arrays of 2**n' entries: 16 MB at 20 items.
-MAX_SUBSET_ITEMS = 20
-# Cost of one subset entry (build plus walk back) in DP cells. Timed on
-# 2-vCPU x86-64, numpy 2.4: an entry costs 9-23 ns at 14-20 items, a DP
-# cell 0.7-2 ns, and the two paths cross at weights of 8-17.
-SUBSET_ENTRY_WEIGHT = 10
+# Any 20 items that fit store at most 2**21 - 1 front pairs of at most 16 bytes.
+MAX_FRONT_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -235,18 +223,19 @@ def solve_bruteforce(inst: KnapsackInstance) -> KnapsackSolution:
 
 
 def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
-    """Exact 0/1 knapsack: subset enumeration or DP, whichever does less work.
+    """Exact 0/1 knapsack: the Pareto front, or the DP where it holds fewer bytes.
 
     Both paths answer with the DP's witness. Let F(k, b) be the best value
     of items 0..k-1 within budget b; the walk back from B takes item i
     exactly when F(i+1, b) > F(i, b) at the remaining budget b, so ties
     resolve the same way on either path.
 
-    Items larger than B can never be taken. When at most MAX_SUBSET_ITEMS
-    items remain, n' of them, and 2**n' * SUBSET_ENTRY_WEIGHT is below the
-    DP's (n+1)*(B+1) cells, the subset path runs (see `_solve_subsets`):
-    its cost does not depend on B. Otherwise the DP runs over budgets
-    0..B, pseudo-polynomial in B.
+    Items larger than B can never be taken. The front (`_solve_front`)
+    runs first. When the DP's (n+1)*(B+1) cells are within MAX_DP_CELLS,
+    it gives way to the DP once its stored bytes pass MAX_FRONT_BYTES or,
+    before an item is merged, its stored bytes plus the current list times
+    the items left pass the DP's bytes. Otherwise the front alone answers,
+    and passing MAX_FRONT_BYTES raises CapacityError.
 
     DP: one value row over budgets 0..B holds the best value of the items
     seen so far; it is updated in place per item (s, v) from a separate
@@ -254,8 +243,7 @@ def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
     i's take bits, "row[b] rose strictly when item i came in", are packed 8
     budgets to a byte into an n x ceil((B+1)/8) table, and the walk back
     from B takes item i when its bit at the remaining budget is set. Memory
-    is about (B+1)*(2*width + 1) + n*(B+1)/8 bytes, and the cell count
-    (n+1)*(B+1) is capped at MAX_DP_CELLS.
+    is (B+1)*(2*width + 1) + n*ceil((B+1)/8) bytes.
 
     Values are int32 when the item values total less than 2**31 and int64
     when they total less than 2**63, exact either way; a larger total
@@ -264,16 +252,14 @@ def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
     n = len(inst.items)
     budget = inst.budget
     dtype = _exact_int_dtype(sum(v for _, v in inst.items), "item value")
-    kept = [i for i, (s, _) in enumerate(inst.items) if s <= budget]
-    if (
-        len(kept) <= MAX_SUBSET_ITEMS
-        and (1 << len(kept)) * SUBSET_ENTRY_WEIGHT < (n + 1) * (budget + 1)
-    ):
-        return _solve_subsets(inst, kept, dtype)
-    if (budget + 1) * (n + 1) > MAX_DP_CELLS:
-        raise CapacityError(
-            f"DP table of {(budget + 1) * (n + 1)} cells exceeds cap {MAX_DP_CELLS}"
-        )
+    cells = (n + 1) * (budget + 1)
+    dp_bytes = (budget + 1) * (2 * np.dtype(dtype).itemsize + 1) + n * ((budget + 8) // 8)
+    sol = _solve_front(inst, dtype, dp_bytes if cells <= MAX_DP_CELLS else math.inf)
+    if sol is not None:
+        return sol
+    if cells > MAX_DP_CELLS:
+        raise CapacityError(f"Pareto front exceeds cap {MAX_FRONT_BYTES} bytes and "
+                            f"DP table of {cells} cells exceeds cap {MAX_DP_CELLS}")
     row = np.zeros(budget + 1, dtype=dtype)
     taken = np.empty(budget + 1, dtype=dtype)
     gain = np.empty(budget + 1, dtype=bool)
@@ -301,46 +287,57 @@ def solve_dp(inst: KnapsackInstance) -> KnapsackSolution:
     )
 
 
-def _solve_subsets(inst: KnapsackInstance, kept: list[int], dtype: type) -> KnapsackSolution:
-    """The DP's answer from the (size, value) table of every subset of `kept`.
+def _solve_front(
+    inst: KnapsackInstance, dtype: type, dp_bytes: float
+) -> Optional[KnapsackSolution]:
+    """The DP's answer from the non-dominated (size, value) pairs of each item prefix.
 
-    Entry m of the table is the subset whose bit k marks kept item k; it
-    is built by doubling, entries [2**k, 2**(k+1)) being entries [0, 2**k)
-    plus item k. So the first 2**k entries are the subsets of kept items
-    0..k-1, and F(k, b) is the best value among them with size <= b.
-    Walking back, kept item k is taken when the best entry holding it
-    beats F(k, b), i.e. F(k+1, b) > F(k, b), the DP's own rule.
+    Nemhauser & Ullmann, "Discrete dynamic programming and capital
+    allocation" (Management Science, 1969). The list of the first k items
+    that fit holds the (size, value) pairs their subsets reach, less the
+    dominated ones: sizes ascend and values strictly ascend, so F(k, b) =
+    V_k[searchsorted(S_k, b, "right") - 1]. The next list merges this one
+    with its shift by the item's (s, v). Every list is kept, and the walk
+    back takes an item when F(k+1, b) > F(k, b), the DP's own rule.
 
-    F(k, b) is the same for every b at or above the total kept size, so
-    the walk starts from min(B, that total). Sizes saturate one above the
-    start, so they never wrap, and a saturated entry is too large for
-    every budget the walk asks about. Sizes are int32 or int64 as the
-    start allows; a start of 2**62 or more raises CapacityError.
+    F(k, b) is the same for every b at or above the total size of the
+    items that fit, so the walk starts from min(B, that total) and no list
+    holds a larger size. Sizes are int64; a start of 2**62 or more raises
+    CapacityError. An entry is 8 bytes plus the value width. None hands
+    over to the DP by `solve_dp`'s byte rule (dp_bytes inf: no DP fits).
     """
     items = inst.items
+    kept = [i for i, (s, _) in enumerate(items) if s <= inst.budget]
     start = min(inst.budget, sum(items[i][0] for i in kept))
-    full = start + 1
-    count = 1 << len(kept)
-    sizes = np.zeros(count, dtype=_exact_int_dtype(2 * start + 1, "item size"))
-    values = np.zeros(count, dtype=dtype)
+    _exact_int_dtype(2 * start + 1, "item size")
+    entry = 8 + np.dtype(dtype).itemsize
+    fronts = [(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=dtype))]
+    stored = 1
     for k, i in enumerate(kept):
+        sizes, values = fronts[-1]
+        if (stored + len(sizes) * (len(kept) - k)) * entry > dp_bytes:
+            return None
         s, v = items[i]
-        half = 1 << k
-        upper = sizes[half : 2 * half]
-        np.add(sizes[:half], s, out=upper)
-        np.minimum(upper, full, out=upper)
-        np.add(values[:half], v, out=values[half : 2 * half])
+        cut = sizes.searchsorted(start - s, "right")
+        sizes = np.concatenate((sizes, sizes[:cut] + s))
+        values = np.concatenate((values, values[:cut] + v))
+        # by size, the larger value first: a pair stays if it beats all before it
+        order = np.lexsort((-values, sizes))
+        sizes, values = sizes[order], values[order]
+        keep = np.concatenate(([True], values[1:] > np.maximum.accumulate(values)[:-1]))
+        fronts.append((sizes[keep], values[keep]))
+        stored += len(fronts[-1][0])
+        if stored * entry > MAX_FRONT_BYTES:
+            return None
+    # best is F(k+1, b): F(k, b) when item k is not taken, else F(k, b - s) + v
     chosen = []
-    b = start
-    fits = sizes <= b
+    b, best = start, fronts[-1][1][-1]
     for k in range(len(kept) - 1, -1, -1):
-        half = 1 << k
-        without = values[:half].max(where=fits[:half], initial=0)
-        with_k = values[half : 2 * half].max(where=fits[half : 2 * half], initial=0)
-        if with_k > without:
+        sizes, values = fronts[k]
+        if best > values[sizes.searchsorted(b, "right") - 1]:
             chosen.append(kept[k])
             b -= items[kept[k]][0]
-            fits = sizes[:half] <= b
+            best -= items[kept[k]][1]
     chosen.reverse()
     return KnapsackSolution(
         chosen=tuple(chosen),

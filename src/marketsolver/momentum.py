@@ -316,13 +316,19 @@ def gen_momentum_panel(
     stationary spread; the observed return adds i.i.d. noise (standard
     deviation NOISE_SCALE) on top. persistence 0 gives a pure i.i.d. panel.
     The panel size is checked before anything is drawn: CapacityError
-    beyond MAX_PANEL_CELLS.
+    beyond MAX_PANEL_CELLS, and ValueError beyond 96,240 months, the last
+    label being 9999-12 (10000-01 would sort first).
     """
     if not 0.0 <= persistence < 1.0:
         raise ValueError(f"persistence must lie in [0, 1), got {persistence}")
     if n_assets < 1 or n_months < 1:
         raise ValueError("n_assets and n_months must be positive")
     _check_panel_size(n_assets, n_months)
+    if n_months > (10000 - 1980) * 12:
+        raise ValueError(
+            f"{n_months} months run past the last month label 9999-12; "
+            f"at most {(10000 - 1980) * 12} months from 1980-01"
+        )
     rng = np.random.default_rng(seed)
     stationary = SHOCK_SCALE / math.sqrt(1.0 - persistence**2)
     mu = np.empty((n_assets, n_months))

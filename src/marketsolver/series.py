@@ -55,11 +55,11 @@ def _float_vector(values: Iterable[float]) -> np.ndarray:
 class PriceSeries:
     """Per-period returns plus the price level after each period.
 
-    Returns drive direction bits and strategy profits; prices are the
-    capital outlay used by budget-constrained selection. Both are stored
-    as read-only float64 arrays of equal length, and prices must stay
-    strictly positive. No arithmetic relation between them is enforced.
-    Two series are equal when their returns and prices are.
+    Returns drive direction bits and strategy profits; no engine reads the
+    prices. Both are stored as read-only float64 arrays of equal length,
+    and prices must stay strictly positive. No arithmetic relation between
+    them is enforced. Two series are equal when their returns and prices
+    are.
     """
 
     returns: np.ndarray
@@ -247,17 +247,15 @@ class PanelData:
         start: float = DEFAULT_START_PRICE,
         synthesis: str = "compound",
     ) -> PriceSeries:
-        """Extract one asset's contiguous series.
+        """Extract one asset's contiguous series, its levels built from its returns.
 
         The asset must have a return for every month from its first to its
-        last observation. Price levels come from the price column when
-        every one of those rows carried a price; otherwise they are
-        synthesized: "compound" multiplies (1 + r) from `start` (the
-        default; requires returns above -1), "shifted" treats returns as
-        additive moves on a base kept positive, and "auto" compounds when
-        every return is above -1 and shifts otherwise.
+        last observation. The price column is not read. "compound"
+        multiplies (1 + r) from `start` (the default; requires returns
+        above -1); "shifted" treats returns as additive moves on a base
+        kept positive, and never fails.
         """
-        if synthesis not in ("compound", "shifted", "auto"):
+        if synthesis not in ("compound", "shifted"):
             raise ValueError(f"unknown synthesis mode {synthesis!r}")
         row = self._row.get(asset)
         present = [] if row is None else np.flatnonzero(~np.isnan(self.return_matrix[row]))
@@ -270,12 +268,6 @@ class PanelData:
             raise ValueError(
                 f"asset {asset!r} has holes at {missing}; cannot form a series"
             )
-        if self.price_matrix is not None:
-            prices = self.price_matrix[row, lo:hi]
-            if not np.isnan(prices).any():
-                return PriceSeries(returns=rets, prices=prices)
-        if synthesis == "auto":
-            synthesis = "compound" if np.all(rets > -1.0) else "shifted"
         if synthesis == "shifted":
             return PriceSeries.with_shifted_levels(rets, base=start)
         return PriceSeries.from_returns(rets, start=start)

@@ -78,6 +78,20 @@ class TestUsage:
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
         assert run_cli(capsys, argv) == got
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["knapsack", "reduce", "scenario.csv"], "error: reduce needs --sidecar SIDE.json\n"),
+            (["sat", "verify", "formula.cnf"], "error: verify needs --witness FILE\n"),
+        ],
+        ids=["reduce", "verify"],
+    )
+    def test_a_missing_input_file_option_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                           argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "formula.cnf").write_text(EXAMPLE_DIMACS)
+        assert run_cli(capsys, argv) == (2, "", message)
+
     def test_a_one_command_parser_has_no_arguments_for_another(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser("sat").parse_args(["knapsack", "solve", "x"])
@@ -126,6 +140,27 @@ class TestStrategyCommands:
         assert code == 1
         assert out == ""
         assert "no subsequent period" in err
+
+
+    def test_a_missing_asset_prints_its_message_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text(PANEL_CSV)
+        argv = ["strategy", "optimal", str(path), "--lookback", "1", "--asset", "Z"]
+        assert run_cli(capsys, argv) == (1, "", "error: asset 'Z' has no observations\n")
+
+    @pytest.mark.parametrize("action", ["optimal", "brute", "decide"])
+    def test_the_price_column_is_not_read(self, tmp_path, capsys, action):
+        # no strategy engine reads prices, so a zero or negative one is no error
+        plain = tmp_path / "plain.csv"
+        plain.write_text(PANEL_CSV)
+        header, *rows = PANEL_CSV.splitlines()
+        priced = tmp_path / "priced.csv"
+        priced.write_text("\n".join([header + ",price"] + [
+            f"{row},{p}" for row, p in zip(rows, [0, -1, 2.5] * 4)
+        ]) + "\n")
+        outs = [run_cli(capsys, ["strategy", action, str(path), "--lookback", "2"])
+                for path in (plain, priced)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
 class TestKnapsackCommands:
@@ -402,6 +437,16 @@ class TestMomentumCommands:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
         assert out1.startswith("date,asset,return\n")
+
+    def test_gen_stops_at_the_last_month_label(self, capsys):
+        code, out, err = run_cli(capsys, ["momentum", "gen", "--assets", "1", "--months", "96240"])
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 96241 and out.splitlines()[-1].startswith("9999-12,S0000,")
+        argv = ["momentum", "gen", "--assets", "1", "--months", "96241"]
+        assert run_cli(capsys, argv) == (
+            1, "", "error: 96241 months run past the last month label 9999-12; "
+            "at most 96240 months from 1980-01\n"
+        )
 
     def test_gen_backtest_pipeline(self, tmp_path, capsys):
         _, csv_text, _ = run_cli(
@@ -810,7 +855,7 @@ class TestInputText:
         with open(path, encoding="utf-8", newline="") as fh:
             panel = series.load_panel_csv(fh)
         assert panel.assets == [asset]
-        strat, profit = strategy_search.optimal_strategy(panel.series_for(asset, synthesis="auto"), 1)
+        strat, profit = strategy_search.optimal_strategy(panel.series_for(asset, synthesis="shifted"), 1)
 
         monkeypatch.setattr("sys.stdin", stdin_of(text))
         source = "-" if via == "stdin" else str(path)

@@ -1,7 +1,7 @@
 """Both paths of `solve_dp` against the full-table DP it replaced.
 
 `ref_solve_dp` below is the (n+1) x (B+1) int64 table DP that `solve_dp`
-used to be. The rolling row with packed take bits and the subset table
+used to be. The rolling row with packed take bits and the Pareto front
 must return the same witness, size and value, not just the same optimum:
 the walk back asks the same question of every layout.
 """
@@ -56,24 +56,24 @@ def assert_same(inst):
 
 
 @contextmanager
-def subset_path(weight=None):
-    """Count `solve_dp`'s subset-path calls, optionally at another weight."""
-    calls = []
-    real = knapsack_bridge._solve_subsets
+def front_answers(force=False):
+    """Record per `_solve_front` call whether it answered (True) or gave way to the DP.
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    With `force`, no DP fits its cell cap, so the front never gives way.
+    """
+    answered = []
+    real = knapsack_bridge._solve_front
+
+    def recorded(*args):
+        sol = real(*args)
+        answered.append(sol is not None)
+        return sol
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(knapsack_bridge, "_solve_subsets", counted)
-        if weight is not None:
-            mp.setattr(knapsack_bridge, "SUBSET_ENTRY_WEIGHT", weight)
-        yield calls
-
-
-def refuse_subsets(*args):
-    raise AssertionError("the subset path ran")
+        mp.setattr(knapsack_bridge, "_solve_front", recorded)
+        if force:
+            mp.setattr(knapsack_bridge, "MAX_DP_CELLS", 0)
+        yield answered
 
 
 # ---------------------------------------------------------------- inputs
@@ -195,52 +195,69 @@ def test_largest_exact_value_total_is_solved():
 # ------------------------------------------------------- choice of path
 
 
-def boundary_budget(n):
-    """Smallest budget at which n items, all fitting, take the subset path."""
-    return (1 << n) * knapsack_bridge.SUBSET_ENTRY_WEIGHT // (n + 1)
+def dp_bytes(n, budget, width):
+    """The rolling DP's bytes: two value rows, a gain row and the take bits."""
+    return (budget + 1) * (2 * width + 1) + n * ((budget + 8) // 8)
 
 
-def test_many_items_and_a_small_budget_take_the_dp(monkeypatch):
-    monkeypatch.setattr(knapsack_bridge, "_solve_subsets", refuse_subsets)
+def doubling_items(n, size=1, value=1):
+    """Items 2**k * (size, value): every subset is on the front, 2**k pairs after k items."""
+    return tuple(((1 << k) * size, (1 << k) * value) for k in range(n))
+
+
+def test_many_items_and_a_small_budget_take_the_dp():
     rng = random.Random(30)
-    for _ in range(20):
-        items = tuple((rng.randint(1, 12), rng.randint(1, 5)) for _ in range(30))
-        assert_same(KnapsackInstance(items=items, budget=50, target=1))
+    with front_answers() as answered:
+        for _ in range(20):
+            items = tuple((rng.randint(1, 12), rng.randint(1, 5)) for _ in range(30))
+            assert_same(KnapsackInstance(items=items, budget=50, target=1))
+    assert answered == [False] * 20
 
 
 @pytest.mark.parametrize("n", [4, 10, 16])
 def test_each_side_of_the_work_boundary(n):
-    weight = knapsack_bridge.SUBSET_ENTRY_WEIGHT
-    edge = boundary_budget(n)
-    assert (n + 1) * edge <= (1 << n) * weight < (n + 1) * (edge + 1)
-    rng = random.Random(n)
-    items = tuple((rng.randint(1, edge // n), rng.randint(1, 9)) for _ in range(n))
-    for budget, subsets in ((edge - 1, 0), (edge, 1)):
-        with subset_path() as calls:
+    # before the last item, 2**n - 1 pairs are stored and 2**(n-1) projected,
+    # 12 bytes each (int32 values); the front answers while the DP needs as many
+    items = doubling_items(n)
+    front = (2**n - 1 + 2 ** (n - 1)) * 12
+    edge = next(b for b in range(2**n, 4 * front) if dp_bytes(n, b, 4) >= front)
+    for budget, by_front in ((edge - 1, False), (edge, True)):
+        with front_answers() as answered:
             assert_same(KnapsackInstance(items=items, budget=budget, target=1))
-        assert len(calls) == subsets
+        assert answered == [by_front]
 
 
-def test_twenty_items_and_a_mid_budget_take_the_dp(monkeypatch):
-    # the raw count 2**21 < 21 * 150_001 would pick subsets, which cost more
-    monkeypatch.setattr(knapsack_bridge, "_solve_subsets", refuse_subsets)
+def test_twenty_items_and_a_mid_budget_take_the_dp():
+    # values that track sizes leave every distinct subset sum on the front,
+    # which then outgrows the DP's bytes long before the last item
     rng = random.Random(20)
-    items = tuple((rng.randint(1, 20_000), rng.randint(1, 10**6)) for _ in range(20))
-    assert_same(KnapsackInstance(items=items, budget=150_000, target=1))
+    sizes = [rng.randint(1, 20_000) for _ in range(20)]
+    with front_answers() as answered:
+        assert_same(KnapsackInstance(items=tuple(zip(sizes, sizes)), budget=150_000, target=1))
+    assert answered == [False]
 
 
-def test_the_item_cap_counts_only_items_that_fit():
+def test_the_byte_cap_counts_only_items_that_fit():
     big = 10**12
-    fit = tuple((10**10 + i, 3 + i % 4) for i in range(knapsack_bridge.MAX_SUBSET_ITEMS))
-    with subset_path() as calls:
+    # int64 values: 20 items that fit store 2**21 - 1 pairs of 16 bytes, 21 items twice that
+    fit = doubling_items(20, size=10**5, value=2**12)
+    assert (2**21 - 1) * 16 <= knapsack_bridge.MAX_FRONT_BYTES < (2**22 - 1) * 16
+    with front_answers() as answered:
         # five more items larger than the budget are dropped, not counted
         sol = solve_dp(KnapsackInstance(items=fit + ((big + 1, 9),) * 5, budget=big, target=1))
-    assert len(calls) == 1
+    assert answered == [True]
     assert sol.chosen == tuple(range(len(fit)))
-    # one more item that fits is over the cap: the DP's cell cap refuses it
-    with subset_path() as calls, pytest.raises(CapacityError, match="cells"):
+    # one more item that fits passes the byte cap, and the DP's cell cap refuses too
+    with pytest.raises(CapacityError, match=f"cap {knapsack_bridge.MAX_FRONT_BYTES} bytes"):
         solve_dp(KnapsackInstance(items=fit + ((1, 1),), budget=big, target=1))
-    assert calls == []
+
+
+def test_the_dp_answers_past_the_byte_cap_when_it_fits(monkeypatch):
+    monkeypatch.setattr(knapsack_bridge, "MAX_FRONT_BYTES", 100)
+    items = doubling_items(6)
+    with front_answers() as answered:
+        assert_same(KnapsackInstance(items=items, budget=10**6, target=1))
+    assert answered == [False]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -249,9 +266,9 @@ def test_few_items_and_a_huge_budget(seed):
     budget = 10**12
     items = tuple((rng.randint(1, budget // 2), rng.randint(1, 100)) for _ in range(8))
     inst = KnapsackInstance(items=items, budget=budget, target=1)
-    with subset_path() as calls:
+    with front_answers() as answered:
         sol = solve_dp(inst)
-    assert len(calls) == 1
+    assert answered == [True]
     assert sol.total_value == solve_bruteforce(inst).total_value
     assert sol.total_size <= budget
     assert sum(items[i][1] for i in sol.chosen) == sol.total_value
@@ -271,13 +288,13 @@ def test_sizes_near_the_int64_edge():
 
 
 def test_sizes_saturate_instead_of_wrapping():
-    # int32 sizes: five items together pass 2**31, two fit the budget
-    # and a wrapped size would make all five look affordable, taking item 4
+    # no pair above the budget is formed: five items together pass 2**31,
+    # two fit the budget, and a wrapped int32 size would take item 4
     items = tuple((2**29 - 1, v) for v in (5, 4, 3, 2, 1))
     inst = KnapsackInstance(items=items, budget=2**30 - 1, target=1)
-    with subset_path() as calls:
+    with front_answers() as answered:
         sol = solve_dp(inst)
-    assert len(calls) == 1
+    assert answered == [True]
     assert sol == KnapsackSolution(chosen=(0, 1), total_size=2**30 - 2, total_value=9)
     assert sol.total_value == solve_bruteforce(inst).total_value
 
@@ -290,16 +307,21 @@ def test_sizes_saturate_instead_of_wrapping():
     ],
 )
 def test_value_totals_beyond_int64_raise_on_the_subset_path(items):
-    with subset_path() as calls, pytest.raises(CapacityError, match="int64"):
-        solve_dp(KnapsackInstance(items=items, budget=10**12, target=1))
-    assert calls == []
+    # a budget only the front and subset enumeration can take; both refuse first
+    inst = KnapsackInstance(items=items, budget=10**12, target=1)
+    with front_answers() as answered, pytest.raises(CapacityError, match="int64"):
+        solve_dp(inst)
+    assert answered == []
+    with pytest.raises(CapacityError, match="int64"):
+        solve_bruteforce(inst)
 
 
 def test_largest_exact_value_total_on_the_subset_path():
     inst = KnapsackInstance(items=((1, 2**62), (1, 2**62 - 1)), budget=10**12, target=1)
-    with subset_path() as calls:
+    with front_answers() as answered:
         sol = solve_dp(inst)
-    assert len(calls) == 1
+    assert answered == [True]
+    assert sol == solve_bruteforce(inst)
     assert sol.chosen == (0, 1) and sol.total_value == 2**63 - 1
 
 
@@ -315,7 +337,15 @@ def tie_heavy_instances(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(tie_heavy_instances())
-def test_subset_path_matches_full_table_on_ties(inst):
-    with subset_path(weight=0) as calls:
+def test_front_matches_full_table_on_ties(inst):
+    with front_answers(force=True) as answered:
         assert_same(inst)
-    assert len(calls) == 1
+    assert answered == [True]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(tie_heavy_instances())
+def test_dp_matches_full_table_on_ties(inst):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapsack_bridge, "_solve_front", lambda *args: None)
+        assert_same(inst)

@@ -20,6 +20,7 @@ from marketsolver import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marketsolver import knapsack_bridge
 from marketsolver.knapsack_bridge import (
     _aggregate_contexts,
     read_scenario_csv,
@@ -107,9 +108,13 @@ class TestSolveDp:
             assert dp.total_size <= inst.budget
             assert sum(inst.items[i][1] for i in dp.chosen) == dp.total_value
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
+        # 26 x 50M cells is past the DP's cap; the front answers with at most 26 pairs
         inst = KnapsackInstance(items=((1, 1),) * 25, budget=50_000_000, target=1)
-        with pytest.raises(CapacityError):
+        assert solve_dp(inst) == solve_bruteforce(inst)
+        # a front past its byte cap leaves only the DP, which this budget also passes
+        monkeypatch.setattr(knapsack_bridge, "MAX_FRONT_BYTES", 100)
+        with pytest.raises(CapacityError, match="cap 100 bytes and DP table of 1300000026 cells"):
             solve_dp(inst)
 
 

@@ -77,9 +77,11 @@ class TestLoadPanelCsv:
             "2020-02,AAA,-1.0,4.0\n"
         )
         panel = load_panel_csv(csv_text)
-        srs = panel.series_for("AAA")
-        assert srs.prices.tolist() == [5.0, 4.0]
-        assert srs.returns.tolist() == [1.0, -1.0]
+        assert panel.price_matrix.tolist() == [[5.0, 4.0]]
+        # a series' levels come from its returns, never from the price column
+        assert panel.series_for("AAA", synthesis="shifted") == PriceSeries.with_shifted_levels(
+            [1.0, -1.0]
+        )
 
     def test_bad_header_rejected(self):
         with pytest.raises(PanelParseError):
@@ -314,13 +316,17 @@ class TestNonFiniteAndFastPath:
         panel = load_panel_csv(io.StringIO("date,asset,return\n2020-01,AAA,0.5\n"))
         assert panel == PanelData(["AAA"], ["2020-01"], {("AAA", "2020-01"): 0.5})
 
-    def test_auto_synthesis_shifts_unit_moves(self):
+    def test_shifted_synthesis_takes_unit_moves(self):
         panel = load_panel_csv("date,asset,return\n2020-01,X,1.0\n2020-02,X,-1.0\n")
-        assert panel.series_for("X", synthesis="auto") == PriceSeries.with_shifted_levels(
+        assert panel.series_for("X", synthesis="shifted") == PriceSeries.with_shifted_levels(
             [1.0, -1.0]
         )
+        with pytest.raises(ValueError, match="cannot compound"):
+            panel.series_for("X")
+        with pytest.raises(ValueError, match="unknown synthesis mode 'auto'"):
+            panel.series_for("X", synthesis="auto")
         panel = load_panel_csv("date,asset,return\n2020-01,X,0.5\n2020-02,X,-0.5\n")
-        assert panel.series_for("X", synthesis="auto") == PriceSeries.from_returns([0.5, -0.5])
+        assert panel.series_for("X") == PriceSeries.from_returns([0.5, -0.5])
 
     def test_hole_is_reported(self):
         panel = load_panel_csv(
