@@ -161,10 +161,11 @@ class MarketState:
     books: dict[int, Quote]
 
     @classmethod
-    def default_for(
-        cls, num_vars: int, bid: float = DEFAULT_BID, ask: float = DEFAULT_ASK
-    ) -> "MarketState":
-        return cls(books={v: Quote(bid=bid, ask=ask) for v in range(1, num_vars + 1)})
+    def default_for(cls, num_vars: int) -> "MarketState":
+        """Default quotes for securities 1..num_vars."""
+        return cls(
+            books={v: Quote(bid=DEFAULT_BID, ask=DEFAULT_ASK) for v in range(1, num_vars + 1)}
+        )
 
     @classmethod
     def for_formula(cls, f: CnfFormula) -> "MarketState":
@@ -189,16 +190,6 @@ class ExecutionReport:
     cancellations: list[Order] = field(default_factory=list)
     groups_filled: int = 0
     net_profit: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "fills": [
-                {"group": g, "order": o.to_dict()} for g, o in self.fills
-            ],
-            "cancellations": [o.to_dict() for o in self.cancellations],
-            "groups_filled": self.groups_filled,
-            "net_profit": self.net_profit,
-        }
 
 
 @dataclass
@@ -372,14 +363,13 @@ def apply_ticks(
     state: MarketState,
     groups: list[OcoGroup],
     ticks: TickAssignment,
-    premium: float = DEFAULT_PREMIUM,
-    cost_per_fill: float = DEFAULT_FILL_COST,
 ) -> ExecutionReport:
     """Process one synchronized tick epoch over all groups.
 
     Within a group the lowest-index fillable order fills and the rest are
     cancelled; groups with nothing fillable stay open. Net profit is
-    groups_filled * (premium - cost_per_fill).
+    groups_filled * (DEFAULT_PREMIUM - DEFAULT_FILL_COST): each filled
+    group earns the premium and pays the cost of one fill.
     """
     report = ExecutionReport()
     for group in groups:
@@ -397,7 +387,7 @@ def apply_ticks(
             report.fills.append((group.index, filled))
             report.cancellations.extend(o for o in group.orders if o is not filled)
             report.groups_filled += 1
-    report.net_profit = report.groups_filled * (premium - cost_per_fill)
+    report.net_profit = report.groups_filled * (DEFAULT_PREMIUM - DEFAULT_FILL_COST)
     return report
 
 

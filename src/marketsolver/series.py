@@ -86,18 +86,16 @@ class PriceSeries:
         )
 
     @classmethod
-    def from_returns(
-        cls, returns: Iterable[float], start: float = DEFAULT_START_PRICE
-    ) -> "PriceSeries":
-        """Build a series with price levels compounded from `start`.
+    def from_returns(cls, returns: Iterable[float]) -> "PriceSeries":
+        """Build a series with price levels compounded from DEFAULT_START_PRICE.
 
-        Levels are cumulative products start * prod(1 + r), multiplied in
-        period order. Used when an input carries returns only (e.g. a CSV
-        without a price column); returns must exceed -1 so levels stay
-        positive.
+        Levels are cumulative products DEFAULT_START_PRICE * prod(1 + r),
+        multiplied in period order. Used when an input carries returns only
+        (e.g. a CSV without a price column); returns must exceed -1 so
+        levels stay positive.
         """
         rets = _float_vector(returns)
-        factors = np.concatenate(([float(start)], 1.0 + rets))
+        factors = np.concatenate(([DEFAULT_START_PRICE], 1.0 + rets))
         with np.errstate(over="ignore"):  # overflow gives inf, as float math does
             levels = np.cumprod(factors)[1:]
         if np.any(levels <= 0):
@@ -107,21 +105,19 @@ class PriceSeries:
         return cls(returns=rets, prices=levels)
 
     @classmethod
-    def with_shifted_levels(
-        cls, returns: Iterable[float], base: float = DEFAULT_START_PRICE
-    ) -> "PriceSeries":
+    def with_shifted_levels(cls, returns: Iterable[float]) -> "PriceSeries":
         """Build a series with additive price levels, shifted to stay positive.
 
-        Levels are base + cumsum(returns); if the running sum would drive a
-        level to zero or below, the base is raised just enough to keep the
-        minimum level at 1. Used by the synthetic generators, whose unit
-        returns are additive moves rather than fractional rates.
+        Levels are DEFAULT_START_PRICE + cumsum(returns); if the running sum
+        would drive a level to zero or below, the base is raised just enough
+        to keep the minimum level at 1. Used by the synthetic generators,
+        whose unit returns are additive moves rather than fractional rates.
         """
         rets = _float_vector(returns)
         with np.errstate(over="ignore"):
             cum = np.cumsum(rets)
         lo = float(cum.min()) if len(cum) else 0.0
-        start = base if base + lo > 0 else 1.0 - lo
+        start = DEFAULT_START_PRICE if DEFAULT_START_PRICE + lo > 0 else 1.0 - lo
         return cls(returns=rets, prices=start + cum)
 
 
@@ -241,19 +237,15 @@ class PanelData:
         j = bisect.bisect_right(self.months, month)
         return int(self._entries_through[j - 1]) if j else 0
 
-    def series_for(
-        self,
-        asset: str,
-        start: float = DEFAULT_START_PRICE,
-        synthesis: str = "compound",
-    ) -> PriceSeries:
+    def series_for(self, asset: str, synthesis: str = "compound") -> PriceSeries:
         """Extract one asset's contiguous series, its levels built from its returns.
 
         The asset must have a return for every month from its first to its
-        last observation. The price column is not read. "compound"
-        multiplies (1 + r) from `start` (the default; requires returns
-        above -1); "shifted" treats returns as additive moves on a base
-        kept positive, and never fails.
+        last observation. The price column is not read. "compound" (the
+        default) multiplies (1 + r) from DEFAULT_START_PRICE, as
+        `PriceSeries.from_returns` does, and requires returns above -1;
+        "shifted" treats returns as additive moves on a base kept positive,
+        as `PriceSeries.with_shifted_levels` does, and never fails.
         """
         if synthesis not in ("compound", "shifted"):
             raise ValueError(f"unknown synthesis mode {synthesis!r}")
@@ -269,8 +261,8 @@ class PanelData:
                 f"asset {asset!r} has holes at {missing}; cannot form a series"
             )
         if synthesis == "shifted":
-            return PriceSeries.with_shifted_levels(rets, base=start)
-        return PriceSeries.from_returns(rets, start=start)
+            return PriceSeries.with_shifted_levels(rets)
+        return PriceSeries.from_returns(rets)
 
 
 def load_panel_csv(source: Union[str, IO[str]]) -> PanelData:

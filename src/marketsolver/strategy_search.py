@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isfinite
 from typing import Iterator, Optional
 
@@ -194,20 +193,6 @@ def _rounded_sum(values: list[float]) -> float:
         return math.nan
 
 
-def _exact_sum(values: list[float]) -> Fraction:
-    """The exact sum of finite floats.
-
-    Each pass takes the correctly rounded sum of what is left and moves it
-    out; the remainder shrinks by a factor of at least 2^52 per pass and
-    stays a multiple of 2^-1074, so it reaches exactly zero in a few.
-    """
-    total, rest = Fraction(0), list(values)
-    while part := math.fsum(rest):
-        total += Fraction(part)
-        rest.append(-part)
-    return total
-
-
 def _buckets(codes: np.ndarray, nxt: np.ndarray) -> dict[int, list[float]]:
     """The returns after each occurring context, in order of occurrence."""
     groups: dict[int, list[float]] = {}
@@ -309,12 +294,12 @@ def brute_force_best(
 
     Every table is scored over the full series by the float profit
     kernel, in ascending bitmask order. Float profits can tie, or even
-    swap, tables whose true profits differ, so every table whose float
-    profit is within the rounding bound of the float maximum is compared
-    again by its exact profit; ties break to the lowest bitmask. The
-    profit returned is the chosen table's true profit, correctly rounded.
-    Cost is 2^(2^t) full-series evaluations. With non-finite returns the
-    float maximum is kept.
+    swap, tables whose true profits differ, so when several tables are
+    within the rounding bound of the float maximum, the optimum's exact
+    sign test settles the contexts on which they differ; ties break to
+    the lowest bitmask. The profit returned is the chosen table's true
+    profit, correctly rounded. Cost is 2^(2^t) full-series evaluations.
+    With non-finite returns the float maximum is kept.
     """
     codes, nxt = _tradable(series.returns, t)
     _check_enumerable(t)
@@ -342,24 +327,24 @@ def brute_force_best(
 
 
 def _exact_best(near: np.ndarray, codes: np.ndarray, nxt: np.ndarray, n_contexts: int) -> int:
-    """The lowest bitmask among `near` with the greatest exact profit.
+    """The lowest bitmask among `near` with the greatest true profit.
 
-    Only the contexts on which the candidates differ decide, so only
-    their exact bucket sums are formed. A table holding a bucket whose
-    exact sum is zero ties with the same table without it, which has a
-    lower bitmask, so such tables are dropped first.
+    The best table goes long exactly the contexts whose bucket has a
+    positive true sum, as in `optimal_strategy`, and its float profit is
+    within two rounding bounds of the float maximum, so it is in `near`.
+    The tables in `near` agree off the contexts on which they vary; on
+    those, the sign of each correctly rounded bucket sum decides.
     """
     varying = int(np.bitwise_or.reduce(near ^ near[0]))
     wanted = ((varying >> np.arange(n_contexts)) & 1).astype(bool)
     rows = wanted[codes]
-    exact = {code: _exact_sum(values) for code, values in _buckets(codes[rows], nxt[rows]).items()}
-    # a varying context that never occurs has an empty, zero-sum bucket
-    zero = varying & ~sum(1 << code for code, total in exact.items() if total)
-    candidates = [mask for mask in near.tolist() if not mask & zero]
-    return max(
-        candidates,
-        key=lambda mask: (sum(v for code, v in exact.items() if mask >> code & 1), -mask),
-    )
+    best = int(near[0]) & ~varying
+    for code, values in _buckets(codes[rows], nxt[rows]).items():
+        if _rounded_sum(values) > 0:
+            best |= 1 << code
+    if best not in near:
+        raise AssertionError(f"the sign table {best} is not among the near-best tables")
+    return best
 
 
 def bucket_contexts(series: PriceSeries, t: int) -> dict[int, list[float]]:

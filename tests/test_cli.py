@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -161,6 +163,76 @@ class TestStrategyCommands:
         outs = [run_cli(capsys, ["strategy", action, str(path), "--lookback", "2"])
                 for path in (plain, priced)]
         assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+# sha256 of the stdout of `strategy optimal --lookback 3`, `decide --lookback 8
+# --target 1.0` and `brute --lookback 3` on the q3_csv benchmark's cent-move
+# CSVs of each seed, taken before brute force settled its near-ties by the
+# optimum's sign test; and whether that exact step runs in `brute`.
+PINNED_STRATEGY_SHA256 = {
+    1: (False, [
+        "cc7954f7edd87632c4cf3fb732aa4c37b3657544011fef24545675175e3573e6",
+        "65584ad848b52a08b5c32d70e9fb89ef3415de68bdf747e565c5a5847ecb8bac",
+        "c6a23b6ce225b1ac9d6f041933f759b570a7b98f75906c34136db2a92c1bf3f8",
+    ]),
+    8: (True, [
+        "70202a9c8363b89f24f69045700ee2cd3f62db4f92fede3293bacfa26be80912",
+        "eeb837f9e3dcde62b4c560c49b986c1ebf2663d9290a9f4a6edeaec798649e5f",
+        "51cb352c890a6b0efeb03f5de7da449b9bedc7c2c18a7426592b9ee487b1bff4",
+    ]),
+    26: (True, [
+        "348749fe2d96dcf3995bd076ea4466325baf9a688a5f4cf9b0d59c2319890bea",
+        "7441810f934c9062a1cb520c5ed9d7c99db86bfd2ea472b0849a29aa48e48f74",
+        "59dacf72e01148e38aa82c0bc703a9962068254ed2a3a101b7daadb16c1dd6c8",
+    ]),
+    27: (True, [
+        "85bb92c5f1e7e56f8dfa4538dc4b47ffb45ace9d7fb43915f8f56b558a75da6f",
+        "bb427f2ec39540306bd562c510a2a3af8014afcd70c0c1000461a03769da5c4d",
+        "1db05f606197d7a1609476bd73bcc65f6426d4a6f8466712174fdab460f0767c",
+    ]),
+    1234: (True, [
+        "3708321230bf0982edc101e38e1e8101d45ac7cbbcde0fae54feebb2c440d5fd",
+        "ef0b1bc63211b99b76b4768d7ce38d59f664740b8520d7afcd9e0350d4426dba",
+        "166f3c13bc190ee372d9748e26f9eb01adec972d9166c3abf02f2fbf669f8661",
+    ]),
+}
+
+
+def cent_move_csv(rng, n):
+    """A one-asset CSV of n whole-cent returns in -0.05..0.05, as q3_csv draws them."""
+    rows = "".join(
+        f"{1000 + i // 12:04d}-{i % 12 + 1:02d},X,{rng.randint(-5, 5) / 100!r}\n" for i in range(n)
+    )
+    return "date,asset,return\n" + rows
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_STRATEGY_SHA256))
+def test_strategy_stdout_is_unchanged(tmp_path, capsys, monkeypatch, seed):
+    from marketsolver import strategy_search
+
+    exact_steps = []
+    exact_best = strategy_search._exact_best
+
+    def counted(*args):
+        exact_steps.append(args)
+        return exact_best(*args)
+
+    monkeypatch.setattr(strategy_search, "_exact_best", counted)
+    rng = random.Random(seed)
+    paths = []
+    for kind, n in (("optimal", 20_000), ("decide", 20_000), ("brute", 4_500)):
+        paths.append(tmp_path / f"{kind}.csv")
+        paths[-1].write_text(cent_move_csv(rng, n))
+    digests = []
+    for argv in (
+        ["strategy", "optimal", str(paths[0]), "--lookback", "3"],
+        ["strategy", "decide", str(paths[1]), "--lookback", "8", "--target", "1.0"],
+        ["strategy", "brute", str(paths[2]), "--lookback", "3"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert (bool(exact_steps), digests) == PINNED_STRATEGY_SHA256[seed]
 
 
 class TestKnapsackCommands:
@@ -953,3 +1025,34 @@ class TestHostileIntegers:
         code, _, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 5
         assert code in (0, 1, 2), err
+
+    # The input-format integers, each in a fresh interpreter: the item count
+    # stays out, since 10^6 unit items take seconds and hundreds of MB.
+    SUBPROCESS_CASES = [
+        "solve-dimacs-vars", "solve-dimacs-clauses",
+        "solve-instance-budget", "solve-instance-size", "solve-instance-value",
+        "reduce-sidecar-lookback", "reduce-sidecar-budget", "reduce-sidecar-target",
+        "reduce-sidecar-tick",
+    ]
+
+    @pytest.mark.parametrize("x", [10**6, 10**9, 10**12, 2**63], ids=["1e6", "1e9", "1e12", "2^63"])
+    @pytest.mark.parametrize("case", SUBPROCESS_CASES)
+    def test_a_fresh_process_ends_cleanly_in_bounded_time_and_memory(self, inputs, tmp_path, case, x):
+        import marketsolver
+
+        argv, text_of = HOSTILE_CASES[case]
+        path = tmp_path / "input"
+        path.write_text(text_of(x))
+        argv = [arg.format(x=x, file=path, **inputs) for arg in argv]
+        src = str(Path(marketsolver.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketsolver.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+        # the largest child this process has waited for, in KiB on Linux
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= 2**20

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -28,7 +29,7 @@ from marketsolver.knapsack_bridge import (
     ticks_array,
     write_scenario_csv,
 )
-from marketsolver.strategy_search import _tradable
+from marketsolver.strategy_search import _tradable, bucket_contexts, optimal_strategy
 
 EXAMPLE = KnapsackInstance(items=((3, 4), (4, 5), (5, 6)), budget=7, target=9)
 
@@ -300,6 +301,59 @@ class TestDecideQ4:
                     assert code not in owners, "context shared between assets"
                     owners[code] = a_idx
             assert len(owners) == len(inst.items)
+
+
+def one_asset_q3_and_q4(seed, tick):
+    """Q3's optimum and Q4's witness on one random series of tick moves.
+
+    The scenario's prices are positive multiples of the tick, its budget
+    covers every item and its target is 1, so Q4 takes every item of
+    positive value. Returns (series, scenario, Q3 table, Q3 profit, Q4
+    table, Q4 value total in ticks).
+    """
+    rng = random.Random(seed)
+    t = rng.randint(1, 4)
+    n = rng.randint(t + 1, 120)
+    returns = [rng.randint(-5, 5) * tick for _ in range(n)]
+    srs = PriceSeries.with_shifted_levels(returns)
+    strat, profit = optimal_strategy(srs, t)
+    sc = MultiAssetScenario(
+        returns=[returns], prices=[[rng.randint(1, 100) * tick for _ in range(n)]],
+        lookback=t, budget=10**15, target=1, tick=tick,
+    )
+    inst, mapping = scenario_to_knapsack(sc)
+    decision, witness = knapsack_bridge.decide_reduced(sc, inst, mapping)
+    q4_table = witness.table if decision else (0,) * (1 << t)
+    value = realized_profit_and_cost(sc, witness)[0] if decision else 0
+    return srs, sc, strat.table, profit, q4_table, value
+
+
+class TestQ3AgreesWithQ4:
+    """With a budget that holds every item, Q4 is Q3 read in ticks."""
+
+    SEEDS = range(300)
+
+    def test_dyadic_ticks_give_the_same_table_and_profit(self):
+        for seed in self.SEEDS:
+            _, _, q3_table, profit, q4_table, value = one_asset_q3_and_q4(seed, 1 / 64)
+            assert q4_table == q3_table, seed
+            assert value * (1 / 64) == profit, seed
+
+    def test_cent_ticks_differ_only_where_the_tick_total_is_zero(self):
+        # the doubles of 0.01 + 0.02 - 0.03 sum to 2**-59 > 0: Q3 goes long
+        # on such a context, while its 0-tick item is dropped from Q4
+        differing = 0
+        for seed in self.SEEDS:
+            srs, sc, q3_table, _, q4_table, _ = one_asset_q3_and_q4(seed, 0.01)
+            agg = _aggregate_contexts(sc)
+            expected = {
+                code for code, values in bucket_contexts(srs, sc.lookback).items()
+                if agg[code][1] == 0 and math.fsum(values) > 0
+            }
+            got = {code for code, (a, b) in enumerate(zip(q3_table, q4_table)) if a != b}
+            assert got == expected, seed
+            differing += bool(got)
+        assert differing > 0
 
 
 class TestScenarioSerialization:

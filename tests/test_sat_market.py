@@ -277,7 +277,7 @@ class TestEncodeMarket:
 
     def test_orders_rest_at_the_mid_in_minimum_lots(self):
         f = parse_dimacs(EXAMPLE_DIMACS)
-        state = MarketState.default_for(f.num_vars, bid=99.0, ask=101.0)
+        state = MarketState.default_for(f.num_vars)
         for group in encode_market(f, state):
             for order in group.orders:
                 assert order.limit == 100.0
@@ -363,8 +363,8 @@ class TestApplyTicks:
         state = MarketState.default_for(f.num_vars)
         groups = encode_market(f, state)
         ticks = assignment_to_ticks({v: False for v in range(1, 5)})
-        report = apply_ticks(state, groups, ticks, premium=2.0, cost_per_fill=0.5)
-        assert report.net_profit == 2 * (2.0 - 0.5)
+        report = apply_ticks(state, groups, ticks)
+        assert report.net_profit == 2 * (DEFAULT_PREMIUM - DEFAULT_FILL_COST)
 
 
 class TestMarketDecidesSat:

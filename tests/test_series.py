@@ -250,7 +250,7 @@ class TestTypes:
                 gen_planted(10, lookback, code, 0.1, seed=0)
 
     def test_from_returns_compounds_levels(self):
-        srs = PriceSeries.from_returns([0.5, -0.5], start=100.0)
+        srs = PriceSeries.from_returns([0.5, -0.5])
         assert srs.prices.tolist() == [150.0, 75.0]
 
     def test_from_returns_rejects_total_loss(self):
