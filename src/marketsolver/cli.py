@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -241,11 +240,8 @@ def _cmd_momentum(args) -> int:
         )
         sys.stdout.write("date,asset,return\n")
         for month, column in zip(panel.months, panel.return_matrix.T.tolist()):
-            sys.stdout.write("".join(
-                f"{month},{asset},{r!r}\n"
-                for asset, r in zip(panel.assets, column)
-                if not math.isnan(r)
-            ))
+            rows = zip(panel.assets, column)
+            sys.stdout.write("".join(f"{month},{asset},{r!r}\n" for asset, r in rows))
         return 0
     panel = series.load_panel_csv(_read_text(args.file))
     cfg = _momentum_config(args)
@@ -319,13 +315,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand, with the arguments of `command` only.
-
-    Every subcommand is listed with its help, so the top-level help, usage
-    and "invalid choice" error do not depend on `command`. With `command`
-    None, every subcommand gets its arguments and handler.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI parser: every subcommand, its arguments and handler."""
     parser = argparse.ArgumentParser(
         prog="marketsolver",
         description="Strategy search, knapsack reductions, CNF order-flow "
@@ -334,22 +325,26 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser's only option is -h, so argparse dispatches on the
-    # first token not starting with "-"; the other subcommands' arguments
-    # would cost about half the time of parsing a short command
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = build_parser(command if command in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        # a command's own parser is the one the whole parser hands argv[1:] to;
+        # argparse reports leftovers with the whole parser's usage, so it takes those
+        args = rest = None
+        if argv and argv[0] in _COMMANDS:
+            _, add_arguments, handler = _COMMANDS[argv[0]]
+            parser = argparse.ArgumentParser(prog=f"marketsolver {argv[0]}")
+            add_arguments(parser)
+            parser.set_defaults(func=handler)
+            args, rest = parser.parse_known_args(argv[1:])
+        if args is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:

@@ -106,8 +106,9 @@ class MultiAssetScenario:
 
     `returns` and `prices` are read-only assets x periods float64 matrices
     (a read-only float64 array is kept, anything else copied), prices > 0;
-    budget, target and every price and return are whole ticks, and the
-    lookback leaves a period to hold (1 <= lookback < periods).
+    budget, target and every price and return are whole ticks (a price at
+    least one tick), and the lookback leaves a period to hold
+    (1 <= lookback < periods).
 
     The scenario is read as its context occurrences, asset by asset: an
     occurrence is a context window followed by one more period. `codes`
@@ -142,7 +143,11 @@ class MultiAssetScenario:
         t = self.lookback
         codes = _tradable(returns, t)[0]
         # each raises QuantizationError on its first misfit
-        sizes = ticks_array(prices, self.tick)[:, t - 1 : -1]
+        price_ticks = ticks_array(prices, self.tick)
+        if (price_ticks < 1).any():
+            p = float(prices.flat[np.argmax(price_ticks < 1)])
+            raise QuantizationError(f"price {p} is below one tick {self.tick}")
+        sizes = price_ticks[:, t - 1 : -1]
         values = ticks_array(returns, self.tick)[:, t:]
         for ticks in (sizes, values):
             if np.abs(ticks.astype(np.float64)).sum() >= 2.0**62:

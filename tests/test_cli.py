@@ -1,3 +1,4 @@
+import argparse
 import functools
 import hashlib
 import io
@@ -13,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from marketsolver import cli
 from marketsolver.cli import main
+from marketsolver.errors import MarketSolverError
 
 EXAMPLE_DIMACS = "p cnf 4 2\n1 2 -3 0\n1 -2 4 0\n"
 
@@ -52,8 +56,8 @@ class TestUsage:
         code, _, _ = run_cli(capsys, ["sat", "solve", "-", "--frobnicate"])
         assert code == 2
 
-    # main builds only the named subcommand's arguments; help, usage errors and
-    # the parsed values must be those of the parser with every subcommand
+    # main parses a command's arguments with that command's own parser; help,
+    # usage errors and the parsed values must be those of the whole parser
     EQUIVALENCE_ARGV = [
         [], ["-h"], ["--he"], ["-h", "sat"],
         ["-x", "sat", "solve", "f"], ["--", "sat", "solve", "f"], ["-", "sat"], ["-5", "sat"],
@@ -69,16 +73,95 @@ class TestUsage:
         ["sat", "solve", "f", "--budget", "0"],
     ]
 
+    @staticmethod
+    def main_by_the_whole_parser(argv):
+        """What `main` does, with every call parsed by `cli.build_parser()`."""
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 2
+        try:
+            return args.func(args)
+        except MarketSolverError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (OSError, KeyError, ValueError) as exc:
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
+            return 1
+
+    def assert_main_matches_the_whole_parser(self, capsys, argv):
+        got = run_cli(capsys, argv)
+        want = self.main_by_the_whole_parser(argv)
+        captured = capsys.readouterr()
+        assert got == (want, captured.out, captured.err)
+
     @pytest.mark.parametrize("columns", ["40", "80", "200"])
     @pytest.mark.parametrize("argv", EQUIVALENCE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
     def test_main_matches_the_full_parser(self, tmp_path, capsys, monkeypatch, argv, columns):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("COLUMNS", columns)
         (tmp_path / "inst.json").write_text(json.dumps(TestKnapsackCommands.INSTANCE))
-        got = run_cli(capsys, argv)
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-        assert run_cli(capsys, argv) == got
+        self.assert_main_matches_the_whole_parser(capsys, argv)
+
+    COMMANDS = ["strategy", "knapsack", "sat", "momentum"]
+    ACTIONS = ["optimal", "brute", "decide", "solve", "reduce", "to-market", "encode", "verify",
+               "backtest", "partition", "gen"]
+    TOKENS = [
+        *COMMANDS, *ACTIONS, "SAT", "stra", "bogus",
+        "-h", "--help", "--he", "--", "-", "-x", "--frobnicate",
+        "--lookback", "--lookb", "--asset", "--target", "--sidecar", "--tick", "--tic", "--strict",
+        "--out", "--budget", "--witness", "--formation", "--holding", "--deciles", "--skip",
+        "--breakpoints", "--format", "--assets", "--months", "--persistence", "--seed",
+        "0", "1", "3", "-5", "1.5", "x", "json", "csv", "1980-06", "XYZ",
+        "inst.json", "f.cnf", "panel.csv", "scenario.csv", "side.json", "w.json", "missing.csv",
+    ]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        argv=st.lists(st.sampled_from(TOKENS), max_size=8)
+        | st.builds(lambda command, action, rest: [command, action, *rest],
+                    st.sampled_from(COMMANDS), st.sampled_from(ACTIONS),
+                    st.lists(st.sampled_from(TOKENS), max_size=6)),
+        columns=st.sampled_from(["40", "80", "200"]),
+    )
+    def test_main_matches_the_whole_parser_on_drawn_argv(self, tmp_path, capsys, monkeypatch,
+                                                         argv, columns):
+        from marketsolver import knapsack_bridge
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", columns)
+        # "-" reads stdin: both runs read it empty
+        monkeypatch.setattr(sys, "stdin", stdin_of(""))
+        inst_json = json.dumps(TestKnapsackCommands.INSTANCE)
+        inst = knapsack_bridge.KnapsackInstance.from_json(inst_json)
+        csv_text, sidecar = knapsack_bridge.write_scenario_csv(knapsack_bridge.knapsack_to_scenario(inst))
+        for name, text in (("inst.json", inst_json),
+                           ("f.cnf", EXAMPLE_DIMACS), ("panel.csv", PANEL_CSV),
+                           ("scenario.csv", csv_text), ("side.json", json.dumps(sidecar)),
+                           ("w.json", '{"1": true, "2": false, "3": false, "4": true}')):
+            (tmp_path / name).write_text(text)
+        self.assert_main_matches_the_whole_parser(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv, code, parsers",
+        [(["sat", "solve", "f.cnf"], 0, 1), (["--help"], 0, 5), (["sat", "solve", "f", "g"], 2, 6)],
+        ids=["command", "help", "leftover"],
+    )
+    def test_a_call_constructs_only_the_parsers_it_parses_with(self, tmp_path, capsys, monkeypatch,
+                                                               argv, code, parsers):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cnf").write_text(EXAMPLE_DIMACS)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert (run_cli(capsys, argv)[0], len(built)) == (code, parsers)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -93,12 +176,6 @@ class TestUsage:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "formula.cnf").write_text(EXAMPLE_DIMACS)
         assert run_cli(capsys, argv) == (2, "", message)
-
-    def test_a_one_command_parser_has_no_arguments_for_another(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser("sat").parse_args(["knapsack", "solve", "x"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: solve x" in capsys.readouterr().err
 
 
 class TestStrategyCommands:
@@ -389,6 +466,14 @@ class TestKnapsackInputs:
         assert out == ""
         assert f"sidecar field '{field}' must be a JSON" in err
 
+    def test_reduce_refuses_a_price_below_one_tick(self, tmp_path, capsys):
+        csv_path, side_path = tmp_path / "scenario.csv", tmp_path / "scenario.json"
+        csv_path.write_text("date,asset,return,price\n2000-01,A,1.0,1.0\n2000-02,A,2.0,1.0\n")
+        side_path.write_text(json.dumps({"lookback": 1, "budget": 2, "target": 1, "tick": 1e12}))
+        assert run_cli(capsys, ["knapsack", "reduce", str(csv_path), "--sidecar", str(side_path)]) == (
+            1, "", "error: price 1.0 is below one tick 1000000000000.0\n"
+        )
+
 
 class TestSatCommands:
     def test_encode(self, tmp_path, capsys):
@@ -509,6 +594,14 @@ class TestMomentumCommands:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
         assert out1.startswith("date,asset,return\n")
+
+    def test_gen_stdout_is_unchanged(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["momentum", "gen", "--assets", "30", "--months", "60", "--seed", "4"]
+        )
+        assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, "", "73af04ab31ad9256f4fe6a0c852b4b9e43667e4b095726dce156142b450163f3"
+        )
 
     def test_gen_stops_at_the_last_month_label(self, capsys):
         code, out, err = run_cli(capsys, ["momentum", "gen", "--assets", "1", "--months", "96240"])
@@ -965,6 +1058,8 @@ HOSTILE_CASES = {
         for action in ("backtest", "partition")
         for option in ("formation", "holding", "deciles", "skip")
     },
+    **{f"gen-{option}": (["momentum", "gen", f"--{option}", "{x}"], None)
+       for option in ("assets", "months")},
     "sat-budget": (["sat", "solve", "{file}", "--budget", "{x}"], lambda x: EXAMPLE_DIMACS),
     **{
         f"{action}-instance-{field}": (
@@ -993,16 +1088,15 @@ HOSTILE_CASES = {
 class TestHostileIntegers:
     """Every integer the CLI or an input format declares, at sizes no input
     should carry: a usage or domain error or an answer, never an exception
-    out of `main`, and each within seconds. (`momentum gen`'s sizes are
-    checked by the subprocess test above, since it allocates.)"""
+    out of `main`, and each within seconds."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         from marketsolver import knapsack_bridge, momentum
 
         d = tmp_path_factory.mktemp("hostile")
-        (d / "panel.csv").write_text(PANEL_CSV)
-        panel = momentum.gen_momentum_panel(30, 40, 0.0, 2)
+        (d / "panel.csv").write_text(cent_move_csv(random.Random(2), 40))
+        panel = momentum.gen_momentum_panel(30, 60, 0.0, 2)
         (d / "momentum.csv").write_text("date,asset,return\n" + "".join(
             f"{m},{a},{r!r}\n"
             for a, row in zip(panel.assets, panel.return_matrix.tolist())
@@ -1013,26 +1107,34 @@ class TestHostileIntegers:
         (d / "scenario.csv").write_text(csv_text)
         return {name: str(d / f"{name}.csv") for name in ("panel", "momentum", "scenario")}
 
+    @staticmethod
+    def argv_of(case, x, path, inputs):
+        """The case's argv at x, its input file (if any) written to path."""
+        argv, text_of = HOSTILE_CASES[case]
+        if text_of is not None:
+            path.write_text(text_of(x))
+        return [arg.format(x=x, file=path, **inputs) for arg in argv]
+
     @pytest.mark.parametrize("x", [10**12, 2**63, 10**400], ids=["1e12", "2^63", "1e400"])
     @pytest.mark.parametrize("case", sorted(HOSTILE_CASES))
     def test_is_refused_or_answered(self, inputs, tmp_path, capsys, case, x):
-        argv, text_of = HOSTILE_CASES[case]
-        path = tmp_path / "input"
-        if text_of is not None:
-            path.write_text(text_of(x))
-        argv = [arg.format(x=x, file=path, **inputs) for arg in argv]
+        argv = self.argv_of(case, x, tmp_path / "input", inputs)
         start = time.perf_counter()
         code, _, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 5
         assert code in (0, 1, 2), err
 
-    # The input-format integers, each in a fresh interpreter: the item count
-    # stays out, since 10^6 unit items take seconds and hundreds of MB.
+    # The input-format integers and the count flags, each in a fresh
+    # interpreter: the item count stays out, since 10^6 unit items take
+    # seconds and hundreds of MB.
     SUBPROCESS_CASES = [
         "solve-dimacs-vars", "solve-dimacs-clauses",
         "solve-instance-budget", "solve-instance-size", "solve-instance-value",
         "reduce-sidecar-lookback", "reduce-sidecar-budget", "reduce-sidecar-target",
         "reduce-sidecar-tick",
+        "gen-assets", "gen-months", "optimal-lookback", "brute-lookback",
+        "backtest-deciles", "backtest-formation", "backtest-holding", "backtest-skip",
+        "sat-budget",
     ]
 
     @pytest.mark.parametrize("x", [10**6, 10**9, 10**12, 2**63], ids=["1e6", "1e9", "1e12", "2^63"])
@@ -1040,10 +1142,7 @@ class TestHostileIntegers:
     def test_a_fresh_process_ends_cleanly_in_bounded_time_and_memory(self, inputs, tmp_path, case, x):
         import marketsolver
 
-        argv, text_of = HOSTILE_CASES[case]
-        path = tmp_path / "input"
-        path.write_text(text_of(x))
-        argv = [arg.format(x=x, file=path, **inputs) for arg in argv]
+        argv = self.argv_of(case, x, tmp_path / "input", inputs)
         src = str(Path(marketsolver.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]

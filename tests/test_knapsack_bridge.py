@@ -424,6 +424,19 @@ class TestTickHardening:
                 tick=float("nan"),
             )
 
+    def test_a_price_below_one_tick_is_named(self):
+        # a price within 1e-9 ticks of 0 used to become a size of 0 ticks
+        with pytest.raises(QuantizationError, match=r"^price 3.0 is below one tick 1000000000000.0$"):
+            MultiAssetScenario(
+                returns=[[1.0, 2.0, 1.0]], prices=[[1e12, 3.0, 1.0]], lookback=1, budget=2,
+                target=1, tick=1e12,
+            )
+        # returns may still be 0 ticks
+        sc = MultiAssetScenario(
+            returns=[[1.0, 2.0]], prices=[[1e12, 2e12]], lookback=1, budget=2, target=1, tick=1e12
+        )
+        assert (sc.sizes.tolist(), sc.values.tolist()) == ([1], [0])
+
     @pytest.mark.parametrize("tick", [0.0, -1.0, -float("inf")])
     def test_backward_reduction_names_a_bad_tick(self, tick):
         # the prices are sizes times the tick, so they turn bad with it
